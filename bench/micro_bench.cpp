@@ -8,10 +8,13 @@
 #include "harness/flags.hpp"
 #include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
+#include "mac/common_channel.hpp"
 #include "mobility/mobility_model.hpp"
+#include "net/packet.hpp"
 #include "sim/event_engine.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "stats/metrics.hpp"
 
 namespace {
 
@@ -193,6 +196,41 @@ void BM_NeighborQueryBrute(benchmark::State& state) {
   neighbor_query_bench(state, /*use_index=*/false);
 }
 BENCHMARK(BM_NeighborQueryBrute)->Arg(50)->Arg(200)->Arg(500);
+
+// The common-channel broadcast plane: range(0)+1 co-located nodes, so every
+// broadcast reaches range(0) receivers.  Each iteration queues one RREQ at
+// each of four rotating senders and runs 40 ms: carrier sense serializes
+// them (three defer and back off), and every frame's start and end touch
+// each receiver's on-air state.  Items are receptions.
+void BM_CommonChannelFlood(benchmark::State& state) {
+  const auto receivers = static_cast<net::NodeId>(state.range(0));
+  const net::NodeId n = receivers + 1;
+  sim::RngManager rng(17);
+  mobility::MobilityConfig wcfg;
+  wcfg.field = mobility::Field{100.0, 100.0};
+  wcfg.max_speed_mps = 0.0;
+  mobility::MobilityManager mgr(n, wcfg, rng);
+  channel::ChannelModel channel(channel::ChannelConfig{}, mgr, rng);
+  sim::Simulator sim;
+  stats::MetricsCollector metrics;
+  mac::CommonChannelMac mac(sim, channel, rng, metrics, {});
+  std::int64_t received = 0;
+  for (net::NodeId id = 0; id < n; ++id) {
+    mac.register_node(id, [&received](const net::ControlPacket&,
+                                      net::NodeId) { ++received; });
+  }
+  const auto rreq = net::make_control(net::kBroadcastId, net::RreqMsg{});
+  net::NodeId sender = 0;
+  for (auto _ : state) {
+    for (int k = 0; k < 4; ++k) {
+      mac.send(sender, rreq);
+      sender = (sender + 1) % n;
+    }
+    sim.run_until(sim.now() + sim::milliseconds(40));
+  }
+  state.SetItemsProcessed(received);
+}
+BENCHMARK(BM_CommonChannelFlood)->Arg(8)->Arg(32)->Arg(64);
 
 void BM_FullStackScenario(benchmark::State& state) {
   // One second of simulated network per iteration, full 50-node stack.

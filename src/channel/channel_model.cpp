@@ -1,7 +1,9 @@
 #include "channel/channel_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 namespace rica::channel {
 
@@ -19,7 +21,8 @@ ChannelModel::ChannelModel(const ChannelConfig& cfg,
       rng_(rng),
       index_(mobility,
              NeighborIndexConfig{cfg.range_m,
-                                 sim::seconds_f(cfg.index_epoch_s)}) {}
+                                 sim::seconds_f(cfg.index_epoch_s)}),
+      neighbor_bits_((mobility.size() + 63) / 64, 0) {}
 
 bool ChannelModel::in_range(std::uint32_t a, std::uint32_t b, sim::Time t) {
   if (a == b) return false;
@@ -37,8 +40,8 @@ ChannelModel::PairProcess& ChannelModel::process_for(std::uint32_t lo,
   const auto key = pair_key(lo, hi);
   auto it = pairs_.find(key);
   if (it == pairs_.end()) {
-    it = pairs_.emplace(key, PairProcess{rng_.stream("channel", lo, hi)})
-             .first;
+    // Seeding an mt19937_64 is costly, so only a miss derives the stream.
+    it = pairs_.try_emplace(key, rng_.stream("channel", lo, hi)).first;
   }
   return it->second;
 }
@@ -132,16 +135,30 @@ void ChannelModel::neighbors_of(std::uint32_t node, sim::Time t,
   const auto pos = mobility_.position(node, t);
   candidates_.clear();
   index_.candidates_near(pos, candidates_);
-  out.reserve(candidates_.size());
+  // Grid cells are visited row-major, but downstream event ordering depends
+  // on the ascending-id order the brute-force scan produces.  Mark the
+  // survivors in the id bitset and read it back word by word instead of
+  // sorting; the read-back leaves the bitset all-zero again.
+  std::size_t lo_word = neighbor_bits_.size();
+  std::size_t hi_word = 0;
   for (const auto other : candidates_) {
     if (other == node) continue;
     if (mobility::distance(pos, mobility_.position(other, t)) <= cfg_.range_m) {
-      out.push_back(other);
+      const std::size_t w = other / 64;
+      neighbor_bits_[w] |= std::uint64_t{1} << (other % 64);
+      lo_word = std::min(lo_word, w);
+      hi_word = std::max(hi_word, w);
     }
   }
-  // Grid cells are visited row-major, so restore the ascending-id order the
-  // brute-force scan produces; downstream event ordering depends on it.
-  std::sort(out.begin(), out.end());
+  out.reserve(candidates_.size());
+  for (std::size_t w = lo_word; w <= hi_word && w < neighbor_bits_.size();
+       ++w) {
+    for (auto bits = std::exchange(neighbor_bits_[w], 0); bits != 0;
+         bits &= bits - 1) {
+      out.push_back(static_cast<std::uint32_t>(w * 64) +
+                    static_cast<std::uint32_t>(std::countr_zero(bits)));
+    }
+  }
 }
 
 std::vector<std::uint32_t> ChannelModel::neighbors_of_bruteforce(

@@ -13,12 +13,16 @@
 //    has a static channel — this is what lets the link-state baseline shine
 //    at zero mobility and collapse under motion, as the paper reports.
 //  * Pair processes are evaluated lazily at query time (AR(1) steps over the
-//    elapsed gap), so channel cost scales with traffic.
+//    elapsed gap), so channel cost scales with traffic.  They live in a
+//    FlatMap64 keyed by the packed (lo, hi) pair; its slab keeps each
+//    process (and its random stream) at a stable address.
+//  * Range queries run through the spatial NeighborIndex and return
+//    ascending ids without sorting: exact-range survivors are marked in a
+//    node-id bitset that is read back in word order.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "channel/csi.hpp"
@@ -26,6 +30,7 @@
 #include "mobility/mobility_model.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
+#include "util/flat_table.hpp"
 
 namespace rica::channel {
 
@@ -133,7 +138,9 @@ class ChannelModel {
   sim::RngManager rng_;
   NeighborIndex index_;
   std::vector<std::uint32_t> candidates_;  ///< scratch for grid queries
-  std::unordered_map<std::uint64_t, PairProcess> pairs_;
+  /// Scratch node-id bitset for grid queries; all-zero between calls.
+  std::vector<std::uint64_t> neighbor_bits_;
+  util::FlatMap64<PairProcess> pairs_;
 };
 
 }  // namespace rica::channel

@@ -9,11 +9,6 @@
 
 namespace rica::mac {
 
-namespace {
-/// Intervals older than this are irrelevant to any in-flight reception.
-constexpr sim::Time kHeardHorizon = sim::milliseconds(50);
-}  // namespace
-
 CommonChannelMac::CommonChannelMac(sim::Simulator& sim,
                                    channel::ChannelModel& channel,
                                    const sim::RngManager& rng,
@@ -82,26 +77,18 @@ sim::Time CommonChannelMac::random_backoff(NodeState& st) {
   return sim::Time{static_cast<std::int64_t>(st.rng.uniform(lo, hi))};
 }
 
-void CommonChannelMac::prune_heard(NodeState& st, sim::Time now) const {
-  const sim::Time horizon = now - kHeardHorizon;
-  std::erase_if(st.heard,
-                [horizon](const Interval& iv) { return iv.end < horizon; });
-}
-
-bool CommonChannelMac::medium_busy(const NodeState& st, sim::Time now) const {
-  if (st.transmitting) return true;
-  return std::any_of(st.heard.begin(), st.heard.end(),
-                     [now](const Interval& iv) {
-                       return iv.start <= now && now < iv.end;
-                     });
+bool CommonChannelMac::carrier_busy(net::NodeId id) const {
+  const auto& st = nodes_[id];
+  // Every transmission covering this node started at or before now, so
+  // "one of them is on the air" is exactly "the latest of them ends later".
+  return st.transmitting || sim_.now() < st.busy_until;
 }
 
 void CommonChannelMac::attempt(net::NodeId id) {
   auto& st = nodes_[id];
   if (st.transmitting) return;  // a tx started meanwhile; re-pumped at its end
   if (st.queue.empty()) return;
-  prune_heard(st, sim_.now());
-  if (medium_busy(st, sim_.now())) {
+  if (carrier_busy(id)) {
     schedule_attempt(id, random_backoff(st));
     return;
   }
@@ -114,22 +101,22 @@ void CommonChannelMac::start_tx(net::NodeId id) {
   st.in_flight = std::move(st.queue.front());
   st.queue.pop_front();
   st.transmitting = true;
-  st.tx_start = sim_.now();
-  st.tx_end = st.tx_start + airtime(st.in_flight.pkt.size_bytes);
-  st.tx_id = next_tx_id_++;
+  const sim::Time start = sim_.now();
+  const sim::Time end = start + airtime(st.in_flight.pkt.size_bytes);
 
   // Coverage is evaluated at transmission start; node motion within a few
   // milliseconds of airtime is negligible at the paper's speeds.  This is
   // the MAC's hottest channel query (one per transmission); it is served by
   // the channel's spatial neighbor index rather than an O(N) scan, into a
   // receiver buffer reused across this node's transmissions.
-  channel_.neighbors_of(id, st.tx_start, st.tx_receivers);
-  for (const auto r : st.tx_receivers) {
-    nodes_[r].heard.push_back(Interval{st.tx_start, st.tx_end, st.tx_id});
+  channel_.neighbors_of(id, start, st.tx_receivers);
+  st.tx_collided.assign(st.tx_receivers.size(), 0);
+  for (std::uint32_t slot = 0; slot < st.tx_receivers.size(); ++slot) {
+    begin_on_air(st.tx_receivers[slot], OnAir{end, id, slot}, start);
   }
-  // Record our own airtime too: it is what makes a half-duplex node deaf to
+  // Our own airtime too: it is what makes a half-duplex node deaf to
   // transmissions that overlap its own.
-  st.heard.push_back(Interval{st.tx_start, st.tx_end, st.tx_id});
+  begin_on_air(id, OnAir{end, id, kOwnSlot}, start);
   metrics_.on_control_tx(st.in_flight.pkt.size_bytes * 8u);
   trace_control("control_tx", id, st.in_flight.pkt);
   if (auto* writer = metrics_.tracer().perfetto()) {
@@ -137,7 +124,7 @@ void CommonChannelMac::start_tx(net::NodeId id) {
     // terminal holds non-overlapping slices.
     const auto info = obs::control_info(st.in_flight.pkt.payload);
     writer->slice(obs::PerfettoWriter::kControlPid, id, "control", info.name,
-                  st.tx_start, st.tx_end - st.tx_start);
+                  start, end - start);
   }
 
   // All per-transmission state lives in NodeState (half duplex guarantees
@@ -146,31 +133,41 @@ void CommonChannelMac::start_tx(net::NodeId id) {
   // of per-event heap allocation.
   auto fire = [this, id] { end_of_tx(id); };
   static_assert(sizeof(fire) <= sim::EventEngine::kInlineBytes);
-  sim_.at(st.tx_end, fire);
+  sim_.at(end, fire);
+}
+
+void CommonChannelMac::begin_on_air(net::NodeId at, const OnAir& tx,
+                                    sim::Time now) {
+  auto& st = nodes_[at];
+  // An entry that ends by now cannot overlap tx (touching is not
+  // overlapping); its own verdict is already settled or needs no mark.
+  std::erase_if(st.on_air, [now](const OnAir& e) { return e.end <= now; });
+  if (!st.on_air.empty()) {
+    const auto mark = [this](const OnAir& e) {
+      if (e.slot != kOwnSlot) nodes_[e.sender].tx_collided[e.slot] = 1;
+    };
+    mark(tx);
+    for (const auto& e : st.on_air) mark(e);
+  }
+  st.on_air.push_back(tx);
+  st.busy_until = std::max(st.busy_until, tx.end);
 }
 
 void CommonChannelMac::end_of_tx(net::NodeId id) {
   auto& sender = nodes_[id];
   sender.transmitting = false;
   const net::ControlPacket& pkt = sender.in_flight.pkt;
-  const sim::Time start = sender.tx_start;
-  const sim::Time end = sender.tx_end;
-  const std::uint64_t tx_id = sender.tx_id;
 
   bool unicast_ok = false;
-  for (const auto r : sender.tx_receivers) {
+  for (std::size_t slot = 0; slot < sender.tx_receivers.size(); ++slot) {
+    const auto r = sender.tx_receivers[slot];
     if (pkt.to != net::kBroadcastId && pkt.to != r) continue;
     auto& rst = nodes_[r];
-    // Half duplex: a node that transmitted during our airtime missed us.
-    // Collision: any other transmission covering r overlapping [start,end].
-    const bool collided =
-        std::any_of(rst.heard.begin(), rst.heard.end(),
-                    [&](const Interval& iv) {
-                      return iv.tx_id != tx_id && iv.start < end &&
-                             start < iv.end;
-                    }) ||
-        rst.transmitting;
-    if (collided) {
+    // Collision: another transmission covering r (r's own included, so a
+    // half-duplex node that transmitted during our airtime missed us)
+    // overlapped ours and marked this slot.  A receiver that starts
+    // transmitting at this very instant is deaf too.
+    if (sender.tx_collided[slot] != 0 || rst.transmitting) {
       metrics_.on_control_collision();
       trace_control("control_lost", r, pkt);
       continue;

@@ -15,6 +15,20 @@
 // Each transmission is charged size*8 bits of routing overhead exactly once
 // (per §III-A: "each time the common channel is used ... counted as one
 // transmission"), regardless of how many neighbours hear it.
+//
+// Collision and carrier-sense state is incremental and exact (DESIGN.md
+// §2c).  Coverage is fixed when a transmission starts, so each node keeps
+//   * `busy_until`, the latest end of every transmission that has covered
+//     it (its own included): carrier sense is `transmitting || now <
+//     busy_until`;
+//   * `on_air`, the transmissions still on the air at it (its own included).
+// A transmission starting at a node overlaps exactly the entries still on
+// the air there, so it marks itself and each of them collided at that
+// receiver; the verdict at end of transmission is that mark, or the
+// receiver transmitting at that instant.  Two transmissions that merely
+// touch (one ends at the instant the other starts) do not overlap.  No
+// interval history is kept, so there is no horizon: a frame of any airtime
+// sees every overlap.
 #pragma once
 
 #include <cstdint>
@@ -72,11 +86,21 @@ class CommonChannelMac {
   /// Peak live control-queue entries across the whole MAC (pool gauge).
   [[nodiscard]] std::size_t pool_high_water() const;
 
+  /// Carrier sense at `id` now: true while it transmits or while any
+  /// transmission covering it is on the air.
+  [[nodiscard]] bool carrier_busy(net::NodeId id) const;
+
  private:
-  struct Interval {
-    sim::Time start;
+  /// `OnAir::slot` of a node's own transmission, which has no verdict.
+  static constexpr std::uint32_t kOwnSlot = 0xFFFFFFFFu;
+
+  /// A transmission on the air at some node: its sender, the node's slot in
+  /// the sender's receiver list, and its end.  Half duplex gives each sender
+  /// one transmission at a time, so (sender, slot) names one reception.
+  struct OnAir {
     sim::Time end;
-    std::uint64_t tx_id = 0;
+    net::NodeId sender = 0;
+    std::uint32_t slot = kOwnSlot;
   };
   struct QueuedControl {
     net::ControlPacket pkt;
@@ -93,16 +117,20 @@ class CommonChannelMac {
     /// attempt is scheduled (its armed() state replaces the old
     /// attempt_pending flag).
     sim::Timer attempt_timer;
-    std::vector<Interval> heard;  ///< transmissions covering this node
+    /// Latest end of any transmission that covered this node (carrier sense).
+    sim::Time busy_until = sim::Time::zero();
+    /// Transmissions covering this node, pruned of ended ones whenever a new
+    /// one starts here, so it holds at most what is concurrently on the air.
+    std::vector<OnAir> on_air;
     // In-flight transmission state, valid while `transmitting` (half duplex:
     // one tx at a time).  Keeping it here — not in the end-of-tx closure —
-    // is what lets that closure capture just [this, id], and `tx_receivers`
-    // keeps its capacity across transmissions (no per-tx allocation).
+    // is what lets that closure capture just [this, id], and the receiver
+    // buffers keep their capacity across transmissions (no per-tx
+    // allocation).  tx_collided[i] is the collision mark of the reception
+    // at tx_receivers[i].
     QueuedControl in_flight;
     std::vector<net::NodeId> tx_receivers;
-    sim::Time tx_start;
-    sim::Time tx_end;
-    std::uint64_t tx_id = 0;
+    std::vector<std::uint8_t> tx_collided;
   };
 
   void schedule_attempt(net::NodeId id, sim::Time delay);
@@ -112,9 +140,10 @@ class CommonChannelMac {
   void trace_control(std::string_view stage, net::NodeId node,
                      const net::ControlPacket& pkt);
   void start_tx(net::NodeId id);
+  /// Puts `tx` on the air at node `at`, marking it and every transmission
+  /// it overlaps there collided.
+  void begin_on_air(net::NodeId at, const OnAir& tx, sim::Time now);
   void end_of_tx(net::NodeId id);
-  [[nodiscard]] bool medium_busy(const NodeState& st, sim::Time now) const;
-  void prune_heard(NodeState& st, sim::Time now) const;
   [[nodiscard]] sim::Time random_backoff(NodeState& st);
 
   sim::Simulator& sim_;
@@ -124,7 +153,6 @@ class CommonChannelMac {
   /// Shared control-queue node pool; must outlive nodes_ (declared first).
   util::FreeListPool<QueuedControl> ctrl_pool_;
   std::vector<NodeState> nodes_;
-  std::uint64_t next_tx_id_ = 1;
 };
 
 }  // namespace rica::mac

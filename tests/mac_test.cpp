@@ -1,10 +1,16 @@
 // MAC layer: common-channel CSMA/CA (airtime, broadcast delivery, carrier
-// sense, hidden-terminal collisions, queue bound, unicast retransmission)
-// and the per-link CDMA data transmitter (rate by class, ACK accounting,
-// buffer bound, residency expiry, retry-then-break).
+// sense, hidden-terminal and half-duplex collisions, long-frame overlaps,
+// queue bound, unicast retransmission) and the per-link CDMA data
+// transmitter (rate by class, ACK accounting, buffer bound, residency
+// expiry, retry-then-break).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "mac/common_channel.hpp"
 #include "mac/link_transmitter.hpp"
@@ -39,6 +45,75 @@ struct World {
 net::ControlPacket broadcast_pkt() {
   return net::make_control(net::kBroadcastId, net::AbrBeaconMsg{0});
 }
+
+/// A BonnMotion trace file pinning each node's trajectory (one line of
+/// "t x y ..." knots per node), removed when the guard dies.
+struct PinnedTrace {
+  PinnedTrace(const std::string& stem,
+              const std::vector<std::vector<double>>& knots)
+      : path((std::filesystem::temp_directory_path() /
+              ("rica_mac_test_" + stem + ".trace"))
+                 .string()) {
+    std::ofstream f(path);
+    f.precision(17);
+    for (const auto& line : knots) {
+      for (const double v : line) f << v << ' ';
+      f << '\n';
+    }
+  }
+  ~PinnedTrace() { std::remove(path.c_str()); }
+
+  [[nodiscard]] mobility::MobilityConfig config() const {
+    mobility::MobilityConfig cfg;
+    cfg.model = mobility::ModelKind::kTrace;
+    cfg.trace_file = path;
+    cfg.field = mobility::Field{2000.0, 2000.0};
+    return cfg;
+  }
+
+  std::string path;
+};
+
+/// A world whose nodes follow a pinned trace (static when each line holds
+/// one knot), so tests can place hidden terminals exactly.
+struct PinnedWorld {
+  PinnedWorld(const std::string& stem,
+              const std::vector<std::vector<double>>& knots)
+      : trace(stem, knots),
+        rng(3),
+        mobility(knots.size(), trace.config(), rng),
+        channel(channel::ChannelConfig{}, mobility, rng) {}
+
+  PinnedTrace trace;
+  sim::RngManager rng;
+  mobility::MobilityManager mobility;
+  channel::ChannelModel channel;
+  sim::Simulator sim;
+  stats::MetricsCollector metrics;
+};
+
+/// A link-state update with `links` adjacency entries: 15 + 5*links bytes
+/// on the air, i.e. 0.48 ms + 0.16 ms per link at 250 kbps.
+net::ControlPacket lsu_pkt(net::NodeId origin, std::size_t links) {
+  net::LsuMsg m;
+  m.origin = origin;
+  for (std::size_t i = 0; i < links; ++i) {
+    m.links.emplace_back(static_cast<net::NodeId>(i), channel::CsiClass::A);
+  }
+  return net::make_control(net::kBroadcastId, std::move(m));
+}
+
+/// Counts receptions per (receiver, transmitter).
+struct RxLog {
+  explicit RxLog(std::size_t n) : got(n, std::vector<int>(n, 0)) {}
+  void attach(CommonChannelMac& mac) {
+    for (net::NodeId id = 0; id < got.size(); ++id) {
+      mac.register_node(id, [this, id](const net::ControlPacket&,
+                                       net::NodeId from) { ++got[id][from]; });
+    }
+  }
+  std::vector<std::vector<int>> got;
+};
 
 TEST(CommonChannel, AirtimeMatchesRate) {
   World w(10.0);
@@ -151,6 +226,110 @@ TEST(CommonChannel, UnicastRetransmitsUntilDelivered) {
   EXPECT_EQ(w.metrics.counter("mac.unicast_fail"), 1u);
   const auto s = w.metrics.finalize(sim::seconds(1));
   EXPECT_EQ(s.control_transmissions, 3u);  // all attempts hit the air
+}
+
+// A--R--B on a line, 200 m apart: A and B are hidden from each other (400 m)
+// and both cover R.
+const std::vector<std::vector<double>> kHiddenLine = {
+    {0.0, 100.0, 500.0}, {0.0, 300.0, 500.0}, {0.0, 500.0, 500.0}};
+constexpr net::NodeId kA = 0, kR = 1, kB = 2;
+
+TEST(CommonChannel, HiddenTerminalsCollideAtTheMiddleNode) {
+  PinnedWorld w("hidden", kHiddenLine);
+  CommonChannelMac mac(w.sim, w.channel, w.rng, w.metrics, {});
+  RxLog log(3);
+  log.attach(mac);
+  // Neither sender hears the other, so carrier sense lets both start at 0
+  // and R, which both cover, loses both frames.
+  mac.send(kA, broadcast_pkt());
+  mac.send(kB, broadcast_pkt());
+  w.sim.run_until(sim::milliseconds(100));
+  EXPECT_EQ(log.got[kR][kA], 0);
+  EXPECT_EQ(log.got[kR][kB], 0);
+  EXPECT_EQ(w.metrics.finalize(sim::seconds(1)).control_collisions, 2u);
+}
+
+TEST(CommonChannel, HiddenTerminalPartialOverlapCollides) {
+  PinnedWorld w("partial", kHiddenLine);
+  CommonChannelMac mac(w.sim, w.channel, w.rng, w.metrics, {});
+  RxLog log(3);
+  log.attach(mac);
+  mac.send(kA, lsu_pkt(kA, 20));  // 3.68 ms on the air
+  w.sim.at(sim::milliseconds(3), [&] { mac.send(kB, broadcast_pkt()); });
+  w.sim.run_until(sim::milliseconds(100));
+  EXPECT_EQ(log.got[kR][kA], 0);
+  EXPECT_EQ(log.got[kR][kB], 0);
+}
+
+TEST(CommonChannel, TouchingFramesFromHiddenSendersBothArrive) {
+  // B starts at the very instant A's frame ends: the frames touch but do
+  // not overlap, so R receives both.
+  PinnedWorld w("touching", kHiddenLine);
+  CommonChannelMac mac(w.sim, w.channel, w.rng, w.metrics, {});
+  RxLog log(3);
+  log.attach(mac);
+  const auto a_pkt = lsu_pkt(kA, 20);
+  const sim::Time a_end = mac.airtime(a_pkt.size_bytes);
+  mac.send(kA, a_pkt);
+  w.sim.at(a_end, [&] { mac.send(kB, broadcast_pkt()); });
+  w.sim.run_until(sim::milliseconds(100));
+  EXPECT_EQ(log.got[kR][kA], 1);
+  EXPECT_EQ(log.got[kR][kB], 1);
+  EXPECT_EQ(w.metrics.finalize(sim::seconds(1)).control_collisions, 0u);
+}
+
+TEST(CommonChannel, LongFrameCollisionSurvivesLaterAttempts) {
+  // A's 2015 B LSU is on the air for 64.48 ms.  Hidden B's short frame
+  // overlaps its start and ends ~63 ms before it does.  R attempts to send
+  // at 55 ms (and defers, A still being on the air), more than 50 ms after
+  // B's frame ended.  The overlap must still cost R A's frame: collision
+  // state has no time horizon.
+  PinnedWorld w("longframe", kHiddenLine);
+  CommonChannelMac mac(w.sim, w.channel, w.rng, w.metrics, {});
+  RxLog log(3);
+  log.attach(mac);
+  const auto a_pkt = lsu_pkt(kA, 400);
+  ASSERT_GT(mac.airtime(a_pkt.size_bytes), sim::milliseconds(64));
+  mac.send(kA, a_pkt);
+  w.sim.at(sim::milliseconds(1), [&] { mac.send(kB, broadcast_pkt()); });
+  w.sim.at(sim::milliseconds(55), [&] {
+    EXPECT_TRUE(mac.carrier_busy(kR));
+    mac.send(kR, broadcast_pkt());
+  });
+  w.sim.run_until(sim::milliseconds(200));
+  EXPECT_EQ(log.got[kR][kA], 0) << "R decoded a frame that was collided";
+  EXPECT_EQ(log.got[kR][kB], 0);
+  // R's own frame goes out once A's ends, to both neighbours.
+  EXPECT_EQ(log.got[kA][kR], 1);
+  EXPECT_EQ(log.got[kB][kR], 1);
+  EXPECT_EQ(w.metrics.finalize(sim::seconds(1)).control_collisions, 2u);
+}
+
+TEST(CommonChannel, HalfDuplexNodeMissesFrameWhileTransmitting) {
+  // R (static) starts a 48.48 ms LSU at 0.  C starts 252 m from R, outside
+  // its range, and closes in at 100 m/s, so R's frame never covered C and
+  // C's carrier sense is idle.  At 30 ms C (now inside the range) starts a
+  // 24.48 ms LSU: D beyond C receives it, but R cannot, having been on the
+  // air for part of it.  No other frame overlaps C's, and R is silent again
+  // when C's frame ends, so only R's own airtime can cost it the frame.
+  PinnedWorld w("halfduplex", {{0.0, 500.0, 500.0},
+                               {0.0, 752.0, 500.0, 1.0, 652.0, 500.0},
+                               {0.0, 950.0, 500.0}});
+  constexpr net::NodeId kRx = 0, kC = 1, kD = 2;
+  CommonChannelMac mac(w.sim, w.channel, w.rng, w.metrics, {});
+  RxLog log(3);
+  log.attach(mac);
+  mac.send(kRx, lsu_pkt(kRx, 300));
+  w.sim.at(sim::milliseconds(30), [&] {
+    EXPECT_FALSE(mac.carrier_busy(kC));
+    EXPECT_TRUE(mac.carrier_busy(kRx));
+    mac.send(kC, lsu_pkt(kC, 150));
+  });
+  w.sim.run_until(sim::milliseconds(200));
+  EXPECT_EQ(log.got[kD][kC], 1);
+  EXPECT_EQ(log.got[kRx][kC], 0) << "a transmitting node received a frame";
+  EXPECT_EQ(log.got[kD][kRx], 0);  // out of R's range
+  EXPECT_EQ(w.metrics.finalize(sim::seconds(1)).control_collisions, 1u);
 }
 
 // ---------------------------------------------------------------------------

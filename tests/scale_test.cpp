@@ -4,9 +4,12 @@
 // determinism (including the mobility axis).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -69,6 +72,14 @@ struct IndexCase {
   std::string mobility = "waypoint";
 };
 
+/// Strictly ascending ids: the order the brute-force scan produces and the
+/// MAC's receiver loop (hence event order) depends on, which the indexed
+/// path must reproduce without sorting.
+bool strictly_ascending(const std::vector<std::uint32_t>& ids) {
+  return std::adjacent_find(ids.begin(), ids.end(),
+                            std::greater_equal<>()) == ids.end();
+}
+
 /// The core index == brute-force property, shared by the parameterized
 /// synthetic-model cases and the runtime-generated trace-replay case.
 void check_index_equivalence(const IndexCase& p) {
@@ -83,6 +94,9 @@ void check_index_equivalence(const IndexCase& p) {
   ASSERT_TRUE(ccfg.use_neighbor_index);
   channel::ChannelModel channel(ccfg, mgr, rng);
 
+  // The MAC's overload refills one buffer per sender; a stale tail or a
+  // leftover bit in the id bitset would surface here.
+  std::vector<std::uint32_t> reused{7, 3, 5};
   for (int step = 0; step <= 60; ++step) {
     const auto t = sim::seconds_f(0.5 * step);  // crosses many rebuild epochs
     for (std::uint32_t node = 0; node < p.num_nodes; ++node) {
@@ -92,6 +106,9 @@ void check_index_equivalence(const IndexCase& p) {
           << "node " << node << " at t=" << t.seconds() << " (seed " << p.seed
           << ", n=" << p.num_nodes << ", field=" << p.field_m << ", mobility="
           << p.mobility << ")";
+      ASSERT_TRUE(strictly_ascending(indexed));
+      channel.neighbors_of(node, t, reused);
+      ASSERT_EQ(reused, brute);
     }
   }
   EXPECT_GE(channel.neighbor_index().rebuild_count(), 2u)
@@ -175,6 +192,11 @@ TEST_P(IndexedStackEquivalence, InRangeAndSampleMatchBruteChannel) {
     for (std::uint32_t a = 0; a < 40; ++a) {
       for (std::uint32_t b = 0; b < 40; ++b) {
         ASSERT_EQ(indexed.in_range(a, b, t), brute.in_range(a, b, t));
+        if (b == 0) {
+          const auto via_index = indexed.neighbors_of(a, t);
+          ASSERT_EQ(via_index, brute.neighbors_of(a, t));
+          ASSERT_TRUE(strictly_ascending(via_index));
+        }
         const auto sa = indexed.sample(a, b, t);
         const auto sb = brute.sample(a, b, t);
         ASSERT_EQ(sa.has_value(), sb.has_value());
@@ -197,6 +219,62 @@ INSTANTIATE_TEST_SUITE_P(AllModels, IndexedStackEquivalence,
                            }
                            return name;
                          });
+
+TEST(SortFreeNeighbors, AscendAcrossRebuildBoundariesAndCellEdges) {
+  // A 6x6 lattice at exactly the grid pitch (cell size = range = 250 m):
+  // every static node sits on a cell edge and its lattice neighbours sit at
+  // exactly the range, which counts as in range.  Ids run against the
+  // grid's row-major cell order (x descends as the id grows), and every odd
+  // node drifts at 10 m/s, so cell membership shifts between rebuilds.
+  constexpr int kSide = 6;
+  const auto path = (std::filesystem::temp_directory_path() /
+                     "rica_scale_cell_edges.trace")
+                        .string();
+  {
+    std::ofstream f(path);
+    for (int id = 0; id < kSide * kSide; ++id) {
+      const double x = 100.0 + 250.0 * (kSide - 1 - id % kSide);
+      const double y = 100.0 + 250.0 * (id / kSide);
+      f << "0 " << x << ' ' << y;
+      if (id % 2 == 1) f << " 20 " << x + 200.0 << ' ' << y;
+      f << '\n';
+    }
+  }
+  mobility::MobilityConfig wcfg =
+      mobility::parse_mobility_spec("trace:file=" + path);
+  wcfg.field = mobility::Field{2000.0, 2000.0};
+  const sim::RngManager rng(5);
+  mobility::MobilityManager mgr_a(kSide * kSide, wcfg, rng);
+  mobility::MobilityManager mgr_b(kSide * kSide, wcfg, rng);
+  channel::ChannelConfig indexed_cfg;
+  channel::ChannelConfig brute_cfg;
+  brute_cfg.use_neighbor_index = false;
+  channel::ChannelModel indexed(indexed_cfg, mgr_a, rng);
+  channel::ChannelModel brute(brute_cfg, mgr_b, rng);
+
+  // Query on both sides of every rebuild boundary: a snapshot serves
+  // queries up to exactly one epoch after it and is rebuilt one
+  // nanosecond later.
+  const auto epoch = sim::seconds_f(indexed_cfg.index_epoch_s);
+  std::vector<std::uint32_t> got;
+  std::size_t on_range_edge = 0;
+  for (int k = 0; k <= 80; ++k) {
+    for (const auto t : {epoch * k, epoch * k + sim::nanoseconds(1)}) {
+      for (std::uint32_t node = 0; node < kSide * kSide; ++node) {
+        indexed.neighbors_of(node, t, got);
+        const auto want = brute.neighbors_of(node, t);
+        ASSERT_EQ(got, want) << "node " << node << " at t=" << t.nanos();
+        ASSERT_TRUE(strictly_ascending(got));
+        if (t == sim::Time::zero()) on_range_edge += want.size();
+      }
+    }
+  }
+  std::remove(path.c_str());
+  // At t=0 every lattice neighbour is exactly at range: 2 axes * 6 lines
+  // * 5 adjacent pairs * 2 directions = 120 (node, neighbour) entries.
+  EXPECT_EQ(on_range_edge, 120u);
+  EXPECT_GE(indexed.neighbor_index().rebuild_count(), 40u);
+}
 
 // ---------------------------------------------------------------------------
 // Hashed per-cell trial seeds
