@@ -36,25 +36,19 @@ bool ChannelModel::in_range(std::uint32_t a, std::uint32_t b, sim::Time t) {
 }
 
 ChannelModel::PairProcess& ChannelModel::process_for(std::uint32_t lo,
-                                                     std::uint32_t hi) {
+                                                     std::uint32_t hi,
+                                                     sim::Time t) {
   const auto key = pair_key(lo, hi);
-  auto it = pairs_.find(key);
-  if (it == pairs_.end()) {
-    // Seeding an mt19937_64 is costly, so only a miss derives the stream.
-    it = pairs_.try_emplace(key, rng_.stream("channel", lo, hi)).first;
-  }
-  return it->second;
+  if (const auto it = pairs_.find(key); it != pairs_.end()) return it->second;
+  auto& p = pairs_.try_emplace(key, rng_.key("channel", lo, hi)).first->second;
+  p.shadow_db = cfg_.shadow_sigma_db * p.rng.normal();
+  p.fading_db = cfg_.fading_sigma_db * p.rng.normal();
+  p.last = t;
+  return p;
 }
 
 void ChannelModel::advance(PairProcess& p, sim::Time t,
                            double rel_speed_mps) {
-  if (!p.initialized) {
-    p.shadow_db = p.rng.normal(0.0, cfg_.shadow_sigma_db);
-    p.fading_db = p.rng.normal(0.0, cfg_.fading_sigma_db);
-    p.last = t;
-    p.initialized = true;
-    return;
-  }
   const double gap_s = (t - p.last).seconds();
   p.last = t;
   if (gap_s <= 0.0 || rel_speed_mps <= 0.0) return;  // frozen channel
@@ -63,12 +57,12 @@ void ChannelModel::advance(PairProcess& p, sim::Time t,
   const double rho_s = std::exp(-moved_m / cfg_.shadow_decorr_m);
   p.shadow_db = rho_s * p.shadow_db +
                 std::sqrt(std::max(0.0, 1.0 - rho_s * rho_s)) *
-                    p.rng.normal(0.0, cfg_.shadow_sigma_db);
+                    cfg_.shadow_sigma_db * p.rng.normal();
 
   const double rho_f = std::exp(-moved_m / cfg_.fading_decorr_m);
   p.fading_db = rho_f * p.fading_db +
                 std::sqrt(std::max(0.0, 1.0 - rho_f * rho_f)) *
-                    p.rng.normal(0.0, cfg_.fading_sigma_db);
+                    cfg_.fading_sigma_db * p.rng.normal();
 }
 
 CsiClass ChannelModel::quantize(double snr_db) const {
@@ -90,7 +84,7 @@ std::optional<ChannelSample> ChannelModel::sample(std::uint32_t a,
   if (dist > cfg_.range_m) return std::nullopt;
 
   const auto [lo, hi] = std::minmax(a, b);
-  auto& proc = process_for(lo, hi);
+  auto& proc = process_for(lo, hi, t);
   // Effective pair decorrelation speed: the sum of the two nodes' speeds
   // bounds the relative speed and preserves the key property that a fully
   // static pair sees a frozen channel.

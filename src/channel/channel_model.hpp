@@ -13,9 +13,14 @@
 //    has a static channel — this is what lets the link-state baseline shine
 //    at zero mobility and collapse under motion, as the paper reports.
 //  * Pair processes are evaluated lazily at query time (AR(1) steps over the
-//    elapsed gap), so channel cost scales with traffic.  They live in a
-//    FlatMap64 keyed by the packed (lo, hi) pair; its slab keeps each
-//    process (and its random stream) at a stable address.
+//    elapsed gap), so channel cost scales with traffic.  The AR(1) step is
+//    the exact discretization of an Ornstein-Uhlenbeck process in distance
+//    moved, so skipping a sample leaves the law of later ones unchanged.
+//  * Each pair draws from a counter-based sim::CounterStream keyed by
+//    ("channel", lo, hi): draw k is a pure function of (seed, pair, k), so
+//    a process is 56 bytes of plain state and creating one on first contact
+//    costs no engine seeding.  Processes live in a FlatMap64 keyed by the
+//    packed (lo, hi) pair, whose slab keeps each at a stable address.
 //  * Range queries run through the spatial NeighborIndex and return
 //    ascending ids without sorting: exact-range survivors are marked in a
 //    node-id bitset that is read back in word order.
@@ -118,18 +123,22 @@ class ChannelModel {
   [[nodiscard]] const NeighborIndex& neighbor_index() const { return index_; }
 
  private:
-  /// Correlated Gaussian (dB-domain) disturbances of one node pair.
+  /// Correlated Gaussian (dB-domain) disturbances of one node pair and the
+  /// pair's random stream.
   struct PairProcess {
     double shadow_db = 0.0;
     double fading_db = 0.0;
     sim::Time last = sim::Time::zero();
-    bool initialized = false;
-    sim::RandomStream rng;
+    sim::CounterStream rng;
 
-    explicit PairProcess(sim::RandomStream r) : rng(std::move(r)) {}
+    explicit PairProcess(std::uint64_t key) : rng(key) {}
   };
+  static_assert(sizeof(PairProcess) <= 64,
+                "a pair process must fit one cache line");
 
-  PairProcess& process_for(std::uint32_t lo, std::uint32_t hi);
+  /// The (lo, hi) process; a first contact starts it at time t from the
+  /// stationary distribution.
+  PairProcess& process_for(std::uint32_t lo, std::uint32_t hi, sim::Time t);
   void advance(PairProcess& p, sim::Time t, double rel_speed_mps);
   [[nodiscard]] CsiClass quantize(double snr_db) const;
 

@@ -212,13 +212,17 @@ void RicaProtocol::send_rreq(net::FlowKey flow) {
 
 void RicaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
   if (msg.src == host().id()) return;
+  const bool at_dst = msg.dst == host().id();
+  // §II-B: a relay looks up its history table first; a duplicate costs no
+  // channel measurement.
+  if (!at_dst && history_.seen(msg.src, msg.bid, kTagRreq)) return;
   const auto cls = host().link_csi(from);
   if (!cls) return;  // the sender already left our range
 
   const double csi_hops = msg.csi_hops + channel::csi_hop_distance(*cls);
   const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);
 
-  if (msg.dst == host().id()) {
+  if (at_dst) {
     // §II-B: "the destination terminal receives several RREQ's with the
     // same source from all possible routes ... and chooses a route with
     // the minimal distance value."  Every copy (one per last-hop
@@ -237,7 +241,7 @@ void RicaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
     return;
   }
 
-  if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq)) return;
+  history_.seen_or_insert(msg.src, msg.bid, kTagRreq);
   rreq_upstream_[bid_key(msg.src, msg.bid)] = from;
 
   if (topo >= cfg_.rreq_ttl) return;
@@ -363,12 +367,16 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
     r.cand_upstream_expiry = now() + cfg_.detect_window;
   }
 
+  const bool at_src = msg.src == host().id();
+  // History first, as in on_rreq: the source collects every copy, a relay
+  // measures only the first.
+  if (!at_src && history_.seen(msg.dst, msg.bid, kTagCheck)) return;
   const auto cls = host().link_csi(from);
   if (!cls) return;
   const double csi_hops = msg.csi_hops + channel::csi_hop_distance(*cls);
   const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);
 
-  if (msg.src == host().id()) {
+  if (at_src) {
     // We are the source: §II-C "the source terminal receives several
     // checking packets from all possible routes, then it can choose the
     // shortest one as the new route."  Collect every copy; relays are the
@@ -386,7 +394,7 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
     return;
   }
 
-  if (history_.seen_or_insert(msg.dst, msg.bid, kTagCheck)) return;
+  history_.seen_or_insert(msg.dst, msg.bid, kTagCheck);
 
   // Relay: remember the downstream we first heard this check from.
   auto& r = relays_[flow];

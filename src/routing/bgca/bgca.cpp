@@ -155,13 +155,16 @@ void BgcaProtocol::send_rreq(net::FlowKey flow) {
 
 void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
   if (msg.src == host().id()) return;
+  const bool at_dst = msg.dst == host().id();
+  // History first: a relay's duplicate costs no channel measurement.
+  if (!at_dst && history_.seen(msg.src, msg.bid, kTagRreq)) return;
   const auto cls = host().link_csi(from);
   if (!cls) return;
 
   const double csi_hops = msg.csi_hops + channel::csi_hop_distance(*cls);
   const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);
 
-  if (msg.dst == host().id()) {
+  if (at_dst) {
     // Every arriving copy is a route candidate (duplicate suppression only
     // governs relay forwarding), mirroring RICA's discovery.
     const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
@@ -176,7 +179,7 @@ void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
     d.window_candidates.push_back(Candidate{from, csi_hops, topo});
     return;
   }
-  if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq)) return;
+  history_.seen_or_insert(msg.src, msg.bid, kTagRreq);
   rreq_upstream_[bid_key(msg.src, msg.bid)] = from;
   if (topo >= cfg_.rreq_ttl) return;
   net::RreqMsg fwd = msg;
@@ -305,9 +308,10 @@ void BgcaProtocol::start_local_query(net::FlowKey flow, bool broken) {
 
 void BgcaProtocol::on_lq(const net::BgcaLqMsg& msg, net::NodeId from) {
   if (msg.origin == host().id()) return;
+  if (history_.seen(msg.origin, msg.bid, kTagLq)) return;
   const auto cls = host().link_csi(from);
   if (!cls) return;
-  if (history_.seen_or_insert(msg.origin, msg.bid, kTagLq)) return;
+  history_.seen_or_insert(msg.origin, msg.bid, kTagLq);
 
   const double csi_hops = msg.csi_hops + channel::csi_hop_distance(*cls);
   const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);

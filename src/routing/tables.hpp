@@ -1,7 +1,8 @@
 // Shared building blocks for the on-demand protocols: the RREQ/BQ history
 // table (§II-B: "checks whether it has seen this packet before by looking up
-// its history table") and the pending-packet buffer used while a route is
-// being discovered or repaired.
+// its history table"), which flood relays consult before they measure the
+// link a copy arrived on, and the pending-packet buffer used while a route
+// is being discovered or repaired.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,12 @@ namespace rica::routing {
 
 /// Records which broadcast packets (keyed by origin and broadcast id) this
 /// terminal has already processed, so floods are forwarded exactly once.
+///
+/// Flood relays consult the table *before* measuring the link a copy came
+/// over (`seen`, which never inserts): a duplicate is discarded at the cost
+/// of one probe, without a channel sample.  Only a first copy that is also
+/// in range is recorded (`seen_or_insert`), so an out-of-range first copy
+/// leaves a later in-range one forwardable.
 class HistoryTable {
  public:
   /// Returns true if (origin, bid) was already recorded; otherwise records
@@ -24,14 +31,13 @@ class HistoryTable {
   /// (RREQ vs CSI check vs LQ) never collide.
   bool seen_or_insert(net::NodeId origin, std::uint32_t bid,
                       std::uint8_t tag = 0) {
-    // Node ids are small (< 2^24, enforced at node construction), so
-    // (tag, origin, bid) packs losslessly.
-    const std::uint64_t key =
-        ((static_cast<std::uint64_t>(tag) << 24 |
-          static_cast<std::uint64_t>(origin))
-         << 32) |
-        bid;
-    return !seen_.insert(key);
+    return !seen_.insert(key(origin, bid, tag));
+  }
+
+  /// True if (origin, bid) under `tag` was recorded; never inserts.
+  [[nodiscard]] bool seen(net::NodeId origin, std::uint32_t bid,
+                          std::uint8_t tag = 0) const {
+    return seen_.contains(key(origin, bid, tag));
   }
 
   void clear() { seen_.clear(); }
@@ -39,6 +45,16 @@ class HistoryTable {
   [[nodiscard]] double load_factor() const { return seen_.load_factor(); }
 
  private:
+  // Node ids are small (< 2^24, enforced at node construction), so
+  // (tag, origin, bid) packs losslessly.
+  static constexpr std::uint64_t key(net::NodeId origin, std::uint32_t bid,
+                                     std::uint8_t tag) {
+    return ((static_cast<std::uint64_t>(tag) << 24 |
+             static_cast<std::uint64_t>(origin))
+            << 32) |
+           bid;
+  }
+
   util::FlatSet64 seen_;
 };
 

@@ -223,6 +223,34 @@ TEST(ChannelDynamics, ShortGapSamplesAreCorrelated) {
   EXPECT_LT(std::abs(s0->snr_db - s1->snr_db), 1.5);
 }
 
+TEST(ChannelDynamics, PairRealizationIgnoresOtherPairs) {
+  // A pair's fading depends only on (seed, pair, its own sample times):
+  // sampling other pairs in between never moves it.
+  sim::RngManager rng(43);
+  mobility::MobilityConfig wp;
+  wp.field = mobility::Field{200.0, 200.0};
+  wp.max_speed_mps = 10.0;
+  wp.pause = sim::Time::zero();
+  mobility::MobilityManager mobility(4, wp, rng);
+  ChannelModel quiet(ChannelConfig{}, mobility, rng);
+  ChannelModel busy(ChannelConfig{}, mobility, rng);
+  int compared = 0;
+  for (int step = 0; step < 200; ++step) {
+    const auto t = sim::milliseconds(250 * step);
+    (void)busy.sample(2, 3, t);
+    (void)busy.sample(0, 2, t);
+    const auto q = quiet.sample(0, 1, t);
+    const auto b = busy.sample(1, 0, t);
+    ASSERT_EQ(q.has_value(), b.has_value());
+    if (q) {
+      EXPECT_EQ(q->snr_db, b->snr_db) << "step " << step;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 100);
+  EXPECT_EQ(quiet.live_pairs(), 1u);
+}
+
 TEST(ChannelConfigTest, QuantizerThresholds) {
   // White-box: feed SNRs around the thresholds through a 2-node setup by
   // tweaking config so the mean SNR is pinned and disturbances are zero.

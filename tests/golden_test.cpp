@@ -11,13 +11,17 @@
 // Intentional behavior changes re-record the capture by running this binary
 // once with RICA_GOLDEN_UPDATE=1 in the environment (it rewrites
 // golden_hashes.txt in the source tree); review the diff like any other
-// source change.  Every case also asserts run == rerun, so in-process
-// determinism is checked even in update mode.
+// source change.  Update mode prints one "key old -> new" line per moved
+// digest and the number of unchanged keys, ready to paste into a change
+// note.  Every case also asserts run == rerun, so in-process determinism is
+// checked even in update mode.
 //
-// The captured values depend on the standard library's distribution
-// algorithms, so the capture is re-recorded per toolchain family if libc++
-// and libstdc++ ever disagree; CI runs a single toolchain, which is the
-// configuration the capture pins.
+// The channel's fading draws are defined in-tree (sim::CounterStream:
+// SplitMix64 plus Box-Muller), but mobility, traffic and MAC backoff still
+// draw through the standard library's distribution algorithms, so the
+// capture is re-recorded per toolchain family if libc++ and libstdc++ ever
+// disagree; CI runs a single toolchain, which is the configuration the
+// capture pins.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -74,9 +78,34 @@ class GoldenRegistry {
            "RICA_GOLDEN_UPDATE=1 and review the diff";
   }
 
+  /// Update mode: prints each re-recorded key as "key old -> new", then
+  /// the count of keys whose digest did not move.
+  void report() const {
+    if (!update_mode_) return;
+    std::size_t unchanged = 0;
+    for (const auto& [key, hash] : hashes_) {
+      const auto old = captured_.find(key);
+      if (old != captured_.end() && old->second == hash) {
+        ++unchanged;
+        continue;
+      }
+      std::printf("[golden-update] %s %s -> %016llx\n", key.c_str(),
+                  old == captured_.end() ? "(none)" : hex(old->second).c_str(),
+                  static_cast<unsigned long long>(hash));
+    }
+    std::printf("[golden-update] %zu keys unchanged\n", unchanged);
+  }
+
  private:
   static std::string path() {
     return std::string(RICA_TEST_DATA_DIR) + "/golden_hashes.txt";
+  }
+
+  static std::string hex(std::uint64_t hash) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return buf;
   }
 
   GoldenRegistry() {
@@ -87,11 +116,12 @@ class GoldenRegistry {
       if (line.empty() || line[0] == '#') continue;
       std::istringstream fields(line);
       std::string key;
-      std::string hex;
-      if (fields >> key >> hex) {
-        hashes_[key] = std::stoull(hex, nullptr, 16);
+      std::string digest;
+      if (fields >> key >> digest) {
+        hashes_[key] = std::stoull(digest, nullptr, 16);
       }
     }
+    captured_ = hashes_;
   }
 
   void flush() const {
@@ -99,17 +129,23 @@ class GoldenRegistry {
     out << "# Captured golden stream hashes (FNV-1a over the ordered metrics"
            " event stream).\n"
         << "# Re-record: RICA_GOLDEN_UPDATE=1 ./golden_test\n";
-    char buf[32];
     for (const auto& [key, hash] : hashes_) {
-      std::snprintf(buf, sizeof(buf), "%016llx",
-                    static_cast<unsigned long long>(hash));
-      out << key << " " << buf << "\n";
+      out << key << " " << hex(hash) << "\n";
     }
   }
 
   std::map<std::string, std::uint64_t> hashes_;  // sorted: stable file diffs
+  std::map<std::string, std::uint64_t> captured_;  // as loaded from the file
   bool update_mode_ = false;
 };
+
+/// Prints the update-mode report once every case has run.
+class GoldenReport : public ::testing::Environment {
+ public:
+  void TearDown() override { GoldenRegistry::instance().report(); }
+};
+[[maybe_unused]] const auto* const kGoldenReport =
+    ::testing::AddGlobalTestEnvironment(new GoldenReport);
 
 harness::ScenarioConfig golden_config(harness::ProtocolKind protocol) {
   harness::ScenarioConfig cfg;

@@ -41,6 +41,7 @@ class MockHost : public routing::ProtocolHost {
   std::vector<std::pair<net::DataPacket, stats::DropReason>> dropped;
   std::map<std::string, std::uint64_t> counters;
   std::size_t buffered = 0;  ///< reported by buffered_count()
+  std::size_t csi_samples = 0;  ///< link_csi calls (channel measurements)
 
   /// Last control packet of a given payload type, or nullptr.
   template <typename Msg>
@@ -71,6 +72,7 @@ class MockHost : public routing::ProtocolHost {
     sent.push_back(SentControl{std::move(pkt), sim_.now()});
   }
   std::optional<channel::CsiClass> link_csi(net::NodeId neighbor) override {
+    ++csi_samples;
     const auto it = links_.find(neighbor);
     if (it == links_.end()) return std::nullopt;
     return it->second;

@@ -1,11 +1,18 @@
 // Parameterized property suites: invariants that must hold for every
 // protocol across the mobility/load grid, channel-model properties swept
-// over configurations, and the common-channel MAC's collision verdicts and
-// carrier sense against a brute-force interval-overlap oracle.
+// over configurations (including the fading law under skipped samples), and
+// the common-channel MAC's collision verdicts and carrier sense against a
+// brute-force interval-overlap oracle.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <ostream>
+#include <string>
 #include <tuple>
 #include <variant>
 #include <vector>
@@ -173,6 +180,108 @@ TEST_P(ChannelExponentSweep, MeanSnrFallsWithConfiguredSlope) {
 
 INSTANTIATE_TEST_SUITE_P(Exponents, ChannelExponentSweep,
                          ::testing::Values(2.0, 2.5, 3.0, 4.0));
+
+// The AR(1) step over distance m is the exact discretization of an
+// Ornstein-Uhlenbeck process: steps over m1 and m2 compose to one step over
+// m1 + m2.  So a sample nobody takes (a relay skipping a duplicate's link
+// measurement) must not change the law of later samples.  Across seeds, the
+// pair is sampled at {t0, t2} and at {t0, t1, t2}; both schemes must show
+// the stationary variance and corr(x(t0), x(t2)) = exp(-m / D).
+
+/// One disturbance term in isolation: its sigma and decorrelation distance,
+/// and the three sample instants (seconds).
+struct OuCase {
+  const char* name;
+  double shadow_sigma_db;
+  double fading_sigma_db;
+  double decorr_m;
+  double t0_s, t1_s, t2_s;
+};
+
+void PrintTo(const OuCase& c, std::ostream* os) { *os << c.name; }
+
+class ChannelObservationInvariance : public ::testing::TestWithParam<OuCase> {
+};
+
+/// Sample moments of paired observations.
+struct Moments {
+  double n = 0, sx = 0, sy = 0, sxx = 0, syy = 0, sxy = 0;
+  void add(double x, double y) {
+    n += 1;
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    syy += y * y;
+    sxy += x * y;
+  }
+  [[nodiscard]] double var_y() const { return syy / n - (sy / n) * (sy / n); }
+  [[nodiscard]] double corr() const {
+    const double cxy = sxy / n - (sx / n) * (sy / n);
+    const double vx = sxx / n - (sx / n) * (sx / n);
+    return cxy / std::sqrt(vx * var_y());
+  }
+};
+
+TEST_P(ChannelObservationInvariance, SkippedSampleLeavesLawUnchanged) {
+  const OuCase c = GetParam();
+  // Two nodes 100 m apart moving in parallel at 5 m/s each for 200 s, so
+  // the pair's decorrelation speed (the sum of the speeds) is a constant
+  // 10 m/s within one leg.
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            (std::string("rica_ou_") + c.name + ".trace"))
+                               .string();
+  {
+    std::ofstream f(path);
+    f << "0 100 100 200 1100 100\n0 100 200 200 1100 200\n";
+  }
+  mobility::MobilityConfig wcfg;
+  wcfg.model = mobility::ModelKind::kTrace;
+  wcfg.trace_file = path;
+  wcfg.field = mobility::Field{2000.0, 2000.0};
+  mobility::MobilityManager mob(2, wcfg, sim::RngManager(1));
+  std::remove(path.c_str());
+
+  channel::ChannelConfig ccfg;
+  ccfg.shadow_sigma_db = c.shadow_sigma_db;
+  ccfg.fading_sigma_db = c.fading_sigma_db;
+  ccfg.shadow_decorr_m = c.decorr_m;
+  ccfg.fading_decorr_m = c.decorr_m;
+  const double sigma = c.shadow_sigma_db + c.fading_sigma_db;  // one is 0
+  const double rho = std::exp(-10.0 * (c.t2_s - c.t0_s) / c.decorr_m);
+
+  constexpr int kSeeds = 4000;
+  Moments two;    // (x(t0), x(t2)) sampled at {t0, t2}
+  Moments three;  // (x(t0), x(t2)) sampled at {t0, t1, t2}
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    const sim::RngManager rng(static_cast<std::uint64_t>(seed));
+    channel::ChannelModel a(ccfg, mob, rng);
+    channel::ChannelModel b(ccfg, mob, rng);
+    const auto a0 = a.sample(0, 1, sim::seconds_f(c.t0_s));
+    const auto a2 = a.sample(0, 1, sim::seconds_f(c.t2_s));
+    const auto b0 = b.sample(0, 1, sim::seconds_f(c.t0_s));
+    ASSERT_TRUE(b.sample(0, 1, sim::seconds_f(c.t1_s)).has_value());
+    const auto b2 = b.sample(0, 1, sim::seconds_f(c.t2_s));
+    ASSERT_TRUE(a0 && a2 && b0 && b2);
+    ASSERT_EQ(a0->snr_db, b0->snr_db);  // same key, same first draws
+    two.add(a0->snr_db, a2->snr_db);
+    three.add(b0->snr_db, b2->snr_db);
+  }
+  // Standard errors at 4000 seeds: variance ~2.2%, correlation ~0.012.
+  const double var = sigma * sigma;
+  EXPECT_NEAR(two.var_y() / var, 1.0, 0.09);
+  EXPECT_NEAR(three.var_y() / var, 1.0, 0.09);
+  EXPECT_NEAR(two.var_y() / three.var_y(), 1.0, 0.12);
+  EXPECT_NEAR(two.corr(), rho, 0.05);
+  EXPECT_NEAR(three.corr(), rho, 0.05);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Terms, ChannelObservationInvariance,
+    ::testing::Values(OuCase{"shadowing", 8.0, 0.0, 50.0, 10.0, 11.5, 13.5},
+                      OuCase{"fading", 0.0, 5.0, 2.0, 10.0, 10.06, 10.14}),
+    [](const ::testing::TestParamInfo<OuCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Mobility properties over speeds

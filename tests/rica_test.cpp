@@ -118,6 +118,27 @@ TEST_F(RicaSourceTest, CsiCheckWindowSelectsBestAndSendsRupd) {
   EXPECT_GE(host_.counters["rica.route_switch"], 1u);
 }
 
+TEST_F(RicaSourceTest, SourceMeasuresEveryCheckCopy) {
+  proto_.handle_data(make_data(kSrc, kDst), kSrc);
+  proto_.on_control(
+      net::make_control(kSrc, net::RrepMsg{kSrc, kDst, 1, 9.0, 3}), 5);
+  host_.set_link(5, CsiClass::C);
+  host_.set_link(6, CsiClass::A);
+  net::CsiCheckMsg check;
+  check.src = kSrc;
+  check.dst = kDst;
+  check.bid = 1;
+  check.csi_hops = 2.0;
+  check.ttl = 4;
+  check.received_from = 5;
+  proto_.on_control(net::make_control(net::kBroadcastId, check), 5);
+  check.received_from = 6;
+  proto_.on_control(net::make_control(net::kBroadcastId, check), 6);
+  EXPECT_EQ(host_.csi_samples, 2u);
+  host_.sim().run_until(sim::milliseconds(100));
+  EXPECT_EQ(proto_.source_next_hop(kDst), 6u);  // the class-A copy won
+}
+
 TEST_F(RicaSourceTest, CheckWindowKeepsCurrentRouteWhenItIsBest) {
   proto_.handle_data(make_data(kSrc, kDst), kSrc);
   proto_.on_control(
@@ -224,6 +245,28 @@ TEST_F(RicaRelayTest, DuplicateRreqDiscarded) {
   EXPECT_EQ(host_.sent_count<net::RreqMsg>(), 1u);
 }
 
+TEST_F(RicaRelayTest, DuplicateRreqCostsNoChannelSample) {
+  // §II-B: the relay looks up its history table before measuring the link.
+  const auto msg = net::RreqMsg{kSrc, kDst, 1, 2.0, 1};
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), kUp);
+  EXPECT_EQ(host_.csi_samples, 1u);
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), kDown);
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), kUp);
+  EXPECT_EQ(host_.csi_samples, 1u);
+}
+
+TEST_F(RicaRelayTest, OutOfRangeFirstRreqLeavesLaterCopyForwardable) {
+  host_.clear_link(kUp);  // the first sender already left our range
+  const auto msg = net::RreqMsg{kSrc, kDst, 1, 2.0, 1};
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), kUp);
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), kDown);
+  host_.sim().run_until(sim::milliseconds(50));
+  EXPECT_EQ(host_.csi_samples, 2u);
+  const auto* fwd = host_.last_sent<net::RreqMsg>();
+  ASSERT_NE(fwd, nullptr);
+  EXPECT_NEAR(fwd->csi_hops, 2.0 + 1.0, 1e-9);  // measured over class A
+}
+
 TEST_F(RicaRelayTest, RrepInstallsEntryAndForwardsUpstream) {
   proto_.on_control(
       net::make_control(net::kBroadcastId, net::RreqMsg{kSrc, kDst, 1, 0.0, 0}),
@@ -282,6 +325,39 @@ TEST_F(RicaRelayTest, CheckWithExhaustedTtlNotForwarded) {
   EXPECT_EQ(host_.sent_count<net::CsiCheckMsg>(), 0u);
   // The candidate is still recorded even though the flood stops here.
   EXPECT_EQ(proto_.check_candidate(kFlow), kDown);
+}
+
+TEST_F(RicaRelayTest, DuplicateCheckCostsNoChannelSample) {
+  net::CsiCheckMsg check;
+  check.src = kSrc;
+  check.dst = kDst;
+  check.bid = 3;
+  check.ttl = 3;
+  check.received_from = 7;
+  proto_.on_control(net::make_control(net::kBroadcastId, check), kDown);
+  check.received_from = 5;  // a copy that overheard us: still a duplicate
+  proto_.on_control(net::make_control(net::kBroadcastId, check), kUp);
+  host_.sim().run_until(sim::milliseconds(50));
+  EXPECT_EQ(host_.csi_samples, 1u);
+  EXPECT_EQ(host_.sent_count<net::CsiCheckMsg>(), 1u);
+  EXPECT_EQ(proto_.check_candidate(kFlow), kDown);
+}
+
+TEST_F(RicaRelayTest, OutOfRangeFirstCheckLeavesLaterCopyForwardable) {
+  host_.clear_link(kDown);
+  net::CsiCheckMsg check;
+  check.src = kSrc;
+  check.dst = kDst;
+  check.bid = 3;
+  check.ttl = 3;
+  check.received_from = 7;
+  proto_.on_control(net::make_control(net::kBroadcastId, check), kDown);
+  EXPECT_FALSE(proto_.check_candidate(kFlow).has_value());
+  proto_.on_control(net::make_control(net::kBroadcastId, check), kUp);
+  host_.sim().run_until(sim::milliseconds(50));
+  EXPECT_EQ(host_.csi_samples, 2u);
+  EXPECT_EQ(proto_.check_candidate(kFlow), kUp);
+  EXPECT_EQ(host_.sent_count<net::CsiCheckMsg>(), 1u);
 }
 
 TEST_F(RicaRelayTest, UpdateFlaggedPacketReanchorsToCheckCandidate) {
@@ -431,6 +507,20 @@ TEST_F(RicaDestTest, CollectsRreqsAndRepliesToCsiShortest) {
   const auto* rrep = host_.last_sent<net::RrepMsg>(&to);
   ASSERT_NE(rrep, nullptr);
   // Via 7: 2.0 + class A (1.0) = 3.0 beats via 8: 6.0 + class C (3.33).
+  EXPECT_EQ(to, 7u);
+}
+
+TEST_F(RicaDestTest, MeasuresEveryRreqCopy) {
+  // The destination's candidate window needs the CSI of every copy, so the
+  // relay-side history shortcut must not apply here.
+  const auto msg = net::RreqMsg{kSrc, kDst, 1, 2.0, 2};
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), 7);
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), 8);
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), 7);
+  EXPECT_EQ(host_.csi_samples, 3u);
+  host_.sim().run_until(sim::milliseconds(100));
+  net::NodeId to = 0;
+  ASSERT_NE(host_.last_sent<net::RrepMsg>(&to), nullptr);
   EXPECT_EQ(to, 7u);
 }
 

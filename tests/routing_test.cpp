@@ -39,6 +39,17 @@ TEST(HistoryTable, TagsSeparateNamespaces) {
   EXPECT_TRUE(h.seen_or_insert(3, 7, 1));
 }
 
+TEST(HistoryTable, SeenLooksUpWithoutInserting) {
+  HistoryTable h;
+  EXPECT_FALSE(h.seen(3, 7, 1));
+  EXPECT_FALSE(h.seen(3, 7, 1));
+  EXPECT_EQ(h.size(), 0u);
+  h.seen_or_insert(3, 7, 1);
+  EXPECT_TRUE(h.seen(3, 7, 1));
+  EXPECT_FALSE(h.seen(3, 7, 2));
+  EXPECT_EQ(h.size(), 1u);
+}
+
 TEST(PendingBuffer, CapacityEnforced) {
   PendingBuffer buf(2, sim::seconds(3));
   EXPECT_TRUE(buf.push(make_data(1, 2, 0), sim::Time::zero()));
@@ -225,6 +236,73 @@ TEST_F(BgcaTest, DiscoveryUsesCsiMetricAtDestination) {
   ASSERT_NE(host.last_sent<net::RrepMsg>(&to), nullptr);
   // 1.0 + A(1.0) = 2.0 beats 1.0 + D(5.0) = 6.0 despite fewer topo hops.
   EXPECT_EQ(to, 7u);
+}
+
+TEST_F(BgcaTest, DuplicateRreqCostsARelayNoChannelSample) {
+  const auto msg = net::RreqMsg{kSrc, kDst, 1, 0.0, 0};
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), 4);
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), 6);
+  host_.sim().run_until(sim::milliseconds(50));
+  EXPECT_EQ(host_.csi_samples, 1u);
+  EXPECT_EQ(host_.sent_count<net::RreqMsg>(), 1u);
+}
+
+TEST_F(BgcaTest, DestinationMeasuresEveryRreqCopy) {
+  MockHost host(kDst);
+  BgcaProtocol proto(host);
+  host.set_link(7, CsiClass::A);
+  host.set_link(8, CsiClass::D);
+  const auto msg = net::RreqMsg{kSrc, kDst, 1, 1.0, 1};
+  proto.on_control(net::make_control(net::kBroadcastId, msg), 8);
+  proto.on_control(net::make_control(net::kBroadcastId, msg), 7);
+  EXPECT_EQ(host.csi_samples, 2u);
+  host.sim().run_until(sim::milliseconds(100));
+  net::NodeId to = 0;
+  ASSERT_NE(host.last_sent<net::RrepMsg>(&to), nullptr);
+  EXPECT_EQ(to, 7u);
+}
+
+TEST_F(BgcaTest, OutOfRangeFirstRreqLeavesLaterCopyForwardable) {
+  host_.clear_link(4);
+  const auto msg = net::RreqMsg{kSrc, kDst, 1, 0.0, 0};
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), 4);
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), 6);
+  host_.sim().run_until(sim::milliseconds(50));
+  EXPECT_EQ(host_.csi_samples, 2u);
+  EXPECT_EQ(host_.sent_count<net::RreqMsg>(), 1u);
+}
+
+TEST_F(BgcaTest, DuplicateLocalQueryCostsNoChannelSample) {
+  net::BgcaLqMsg lq;
+  lq.origin = 3;
+  lq.src = kSrc;
+  lq.dst = kDst;
+  lq.bid = 11;
+  lq.ttl = 3;
+  lq.origin_hops_to_dst = 2;
+  proto_.on_control(net::make_control(net::kBroadcastId, lq), 4);
+  proto_.on_control(net::make_control(net::kBroadcastId, lq), 6);
+  host_.sim().run_until(sim::milliseconds(100));
+  EXPECT_EQ(host_.csi_samples, 1u);
+  EXPECT_EQ(host_.sent_count<net::BgcaLqMsg>(), 1u);
+}
+
+TEST_F(BgcaTest, OutOfRangeFirstLocalQueryLeavesLaterCopyForwardable) {
+  host_.clear_link(4);
+  net::BgcaLqMsg lq;
+  lq.origin = 3;
+  lq.src = kSrc;
+  lq.dst = kDst;
+  lq.bid = 11;
+  lq.ttl = 3;
+  lq.origin_hops_to_dst = 2;
+  proto_.on_control(net::make_control(net::kBroadcastId, lq), 4);
+  proto_.on_control(net::make_control(net::kBroadcastId, lq), 6);
+  host_.sim().run_until(sim::milliseconds(100));
+  EXPECT_EQ(host_.csi_samples, 2u);
+  const auto* fwd = host_.last_sent<net::BgcaLqMsg>();
+  ASSERT_NE(fwd, nullptr);
+  EXPECT_NEAR(fwd->csi_hops, 1.0, 1e-9);  // measured over the class-A link
 }
 
 TEST_F(BgcaTest, GuardTriggersLocalQueryAfterPersistentDeficiency) {

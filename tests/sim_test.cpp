@@ -1,8 +1,12 @@
 // Unit tests for the discrete-event kernel: time arithmetic, event ordering,
-// FIFO tie-breaking, cancellation, RAII timers, and RNG stream independence.
+// FIFO tie-breaking, cancellation, RAII timers, RNG stream independence,
+// and the statistics of the counter-based stream the channel draws from.
 // EventEngine-specific cases live in event_engine_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -256,6 +260,109 @@ TEST(Random, SplitMixAvalanche) {
   const int flipped = __builtin_popcountll(h1 ^ h2);
   EXPECT_GT(flipped, 16);
   EXPECT_LT(flipped, 48);
+}
+
+TEST(CounterStream, DrawDependsOnlyOnKeyAndIndex) {
+  // Draw k of a key is the same whether or not other keys draw in between,
+  // and equals the stateless draw(key, k).
+  const RngManager mgr(5);
+  const auto key = mgr.key("channel", 3, 4);
+  CounterStream alone(key);
+  CounterStream mixed(key);
+  CounterStream other(mgr.key("channel", 3, 5));
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    if (k % 3 == 0) other.next();
+    const auto v = alone.next();
+    EXPECT_EQ(v, mixed.next());
+    EXPECT_EQ(v, CounterStream::draw(key, k));
+  }
+  CounterStream normals(key);
+  CounterStream normals_mixed(key);
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 2 == 0) other.normal();
+    EXPECT_EQ(normals.normal(), normals_mixed.normal());
+  }
+}
+
+TEST(RngManager, KeyIsTheStreamSeed) {
+  const RngManager mgr(77);
+  EXPECT_EQ(mgr.key("channel", 2, 9), mgr.key("channel", 2, 9));
+  EXPECT_NE(mgr.key("channel", 2, 9), mgr.key("channel", 9, 2));
+  EXPECT_NE(mgr.key("channel", 2, 9), RngManager(78).key("channel", 2, 9));
+  // stream(name, index) seeds from key(name, index).
+  auto stream = mgr.stream("mobility", 3);
+  std::mt19937_64 engine(mgr.key("mobility", 3));
+  EXPECT_EQ(stream.engine()(), engine());
+}
+
+TEST(CounterStream, UniformLiesInHalfOpenUnitInterval) {
+  // The extreme raw draws map inside (0, 1], so log() never sees 0.
+  EXPECT_GT(CounterStream::unit_pos(0), 0.0);
+  EXPECT_EQ(CounterStream::unit_pos(~std::uint64_t{0}), 1.0);
+  CounterStream s(RngManager(3).key("channel", 0, 1));
+  for (int i = 0; i < 100'000; ++i) {
+    const double u = s.uniform_pos();
+    ASSERT_GT(u, 0.0);
+    ASSERT_LE(u, 1.0);
+  }
+}
+
+TEST(CounterStream, NormalMatchesStandardGaussian) {
+  constexpr int kN = 1'000'000;
+  CounterStream s(RngManager(2024).key("channel", 0, 1));
+  std::vector<double> z(kN);
+  double sum = 0.0;
+  double sq = 0.0;
+  int tail = 0;
+  for (auto& v : z) {
+    v = s.normal();
+    ASSERT_TRUE(std::isfinite(v));
+    sum += v;
+    sq += v * v;
+    tail += std::abs(v) > 3.0 ? 1 : 0;
+  }
+  const double mean = sum / kN;
+  EXPECT_LT(std::abs(mean), 0.005);
+  EXPECT_LT(std::abs(sq / kN - mean * mean - 1.0), 0.01);
+
+  // Kolmogorov-Smirnov distance to Phi, against its 1% critical value.
+  std::sort(z.begin(), z.end());
+  double ks = 0.0;
+  for (int i = 0; i < kN; ++i) {
+    const double cdf = 0.5 * std::erfc(-z[i] / std::sqrt(2.0));
+    ks = std::max({ks, cdf - static_cast<double>(i) / kN,
+                   static_cast<double>(i + 1) / kN - cdf});
+  }
+  EXPECT_LT(ks, 1.628 / std::sqrt(static_cast<double>(kN)));
+
+  // The tails: P(|z| > 3) = 0.0027, within 3 binomial sd.
+  const double p3 = std::erfc(3.0 / std::sqrt(2.0));
+  EXPECT_NEAR(static_cast<double>(tail) / kN, p3,
+              3.0 * std::sqrt(p3 * (1.0 - p3) / kN));
+}
+
+TEST(CounterStream, AdjacentPairKeysAreUncorrelated) {
+  constexpr int kN = 1'000'000;
+  const RngManager mgr(11);
+  const std::pair<std::uint32_t, std::uint32_t> pairs[][2] = {
+      {{4, 5}, {4, 6}}, {{4, 5}, {5, 6}}, {{0, 1}, {1, 2}}};
+  for (const auto& [p, q] : pairs) {
+    CounterStream a(mgr.key("channel", p.first, p.second));
+    CounterStream b(mgr.key("channel", q.first, q.second));
+    double sab = 0.0;
+    double saa = 0.0;
+    double sbb = 0.0;
+    for (int i = 0; i < kN; ++i) {
+      const double x = a.normal();
+      const double y = b.normal();
+      sab += x * y;
+      saa += x * x;
+      sbb += y * y;
+    }
+    EXPECT_LT(std::abs(sab / std::sqrt(saa * sbb)), 0.01)
+        << "(" << p.first << "," << p.second << ") vs (" << q.first << ","
+        << q.second << ")";
+  }
 }
 
 }  // namespace
