@@ -22,8 +22,9 @@ namespace {
 
 using namespace rica;
 
-harness::ScenarioResult run(const harness::Flags& flags,
-                            const core::RicaConfig& rica_cfg) {
+/// The RICA scenario every variant runs, with the variant's tunables
+/// left at their defaults.
+harness::ScenarioConfig base_config(const harness::Flags& flags) {
   harness::ScenarioConfig cfg =
       harness::preset_config(flags.get("preset", std::string("paper")));
   cfg.protocol = harness::ProtocolKind::kRica;
@@ -31,8 +32,7 @@ harness::ScenarioResult run(const harness::Flags& flags,
   cfg.pkts_per_s = flags.get("rate", 10.0);
   cfg.sim_s = flags.get("sim-time", 80.0);
   cfg.seed = flags.get("seed", static_cast<std::uint64_t>(1));
-  cfg.rica = rica_cfg;
-  return harness::run_trials(cfg, flags.get("trials", 3));
+  return cfg;
 }
 
 void add_row(harness::Table& table, const std::string& name,
@@ -49,6 +49,14 @@ void add_row(harness::Table& table, const std::string& name,
 int main(int argc, char** argv) {
   try {
     const harness::Flags flags(argc, argv);
+    const harness::ScenarioConfig base = base_config(flags);
+    const int trials = flags.get("trials", 3);
+    flags.reject_unread();
+    const auto run = [&base, trials](const core::RicaConfig& rica_cfg) {
+      harness::ScenarioConfig cfg = base;
+      cfg.rica = rica_cfg;
+      return harness::run_trials(cfg, trials);
+    };
     harness::Table table({"variant", "delivery_%", "delay_ms",
                           "overhead_kbps", "link_tput_kbps", "hops"});
 
@@ -58,7 +66,7 @@ int main(int argc, char** argv) {
       cfg.check_period = sim::seconds_f(period_s);
       std::cerr << "[ablation] check period " << period_s << " s\n";
       add_row(table, "check_period=" + harness::fmt(period_s, 2) + "s",
-              run(flags, cfg));
+              run(cfg));
     }
 
     // Adaptive checking (the paper's future-work hint).
@@ -66,7 +74,7 @@ int main(int argc, char** argv) {
       core::RicaConfig cfg;
       cfg.adaptive_checks = true;
       std::cerr << "[ablation] adaptive check period\n";
-      add_row(table, "adaptive_checks", run(flags, cfg));
+      add_row(table, "adaptive_checks", run(cfg));
     }
 
     // CSI-proportional flood jitter off: floods race at uniform speed, so
@@ -75,7 +83,7 @@ int main(int argc, char** argv) {
       core::RicaConfig cfg;
       cfg.csi_jitter = sim::Time::zero();
       std::cerr << "[ablation] csi jitter off\n";
-      add_row(table, "csi_jitter=off", run(flags, cfg));
+      add_row(table, "csi_jitter=off", run(cfg));
     }
 
     // Wider checking scope (more TTL slack): better candidates, more
@@ -84,7 +92,7 @@ int main(int argc, char** argv) {
       core::RicaConfig cfg;
       cfg.check_ttl_slack = 6;
       std::cerr << "[ablation] check ttl slack 6\n";
-      add_row(table, "check_ttl_slack=6", run(flags, cfg));
+      add_row(table, "check_ttl_slack=6", run(cfg));
     }
 
     std::cout << "RICA ablation (defaults: check 1 s, jitter 10 ms/unit, "

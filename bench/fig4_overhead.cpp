@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
     const BenchScale scale = bench_scale(flags, /*def_trials=*/3,
                                          /*def_sim_s=*/100.0);
     const auto speeds = flags.get_list("speeds", paper_speeds());
+    flags.reject_unread();
 
     const auto grid = run_speed_sweep(speeds, {10.0, 20.0}, scale);
     const auto kbps = [](const ScenarioResult& r) { return r.overhead_kbps; };
@@ -26,8 +27,7 @@ int main(int argc, char** argv) {
     // across trials; divide back out for a per-trial figure).
     const double trials = static_cast<double>(scale.trials);
     const auto ctrl_kb = [trials](const ScenarioResult& r) {
-      const auto it = r.stats.find("net.control_bytes_on_air");
-      return it == r.stats.end() ? 0.0 : it->second.value / trials / 1000.0;
+      return r.stat("net.control_bytes_on_air") / trials / 1000.0;
     };
     print_figure(std::cout, grid, 10.0,
                  "Figure 4(c): control bytes-on-air (kB/trial), 10 pkt/s",

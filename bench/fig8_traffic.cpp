@@ -132,6 +132,8 @@ int main(int argc, char** argv) {
         model += "pattern=" + pattern;
       }
     }
+    const std::string json_path = flags.get("json", std::string{});
+    flags.reject_unread();
 
     const auto grid =
         run_speed_sweep({speed}, {rate}, {scale.mobility}, models, scale);
@@ -148,10 +150,9 @@ int main(int argc, char** argv) {
           [](const harness::SweepPoint& cell) { return cell.traffic; },
           kMetrics[m].get, kMetrics[m].precision);
     }
-    if (flags.has("json")) {
-      const auto path = flags.get("json", std::string{});
-      write_json(path, grid, models);
-      std::cerr << "[fig8] wrote " << path << '\n';
+    if (!json_path.empty()) {
+      write_json(json_path, grid, models);
+      std::cerr << "[fig8] wrote " << json_path << '\n';
     }
     std::cout << "Reading guide: poisson is the paper's setting; cbr holds\n"
                  "the gap constant (queues never see a burst), onoff and\n"

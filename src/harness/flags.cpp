@@ -31,43 +31,61 @@ Flags::Flags(int argc, const char* const* argv) {
   }
 }
 
+const std::string* Flags::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool Flags::has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return find(name) != nullptr;
 }
 
 std::string Flags::get(const std::string& name,
                        const std::string& fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* v = find(name);
+  return v == nullptr ? fallback : *v;
 }
 
 double Flags::get(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  const std::string* v = find(name);
+  return v == nullptr ? fallback : std::stod(*v);
 }
 
 int Flags::get(const std::string& name, int fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stoi(it->second);
+  const std::string* v = find(name);
+  return v == nullptr ? fallback : std::stoi(*v);
 }
 
 std::uint64_t Flags::get(const std::string& name,
                          std::uint64_t fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stoull(it->second);
+  const std::string* v = find(name);
+  return v == nullptr ? fallback : std::stoull(*v);
 }
 
 std::vector<double> Flags::get_list(const std::string& name,
                                     const std::vector<double>& fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
   std::vector<double> out;
-  std::stringstream ss(it->second);
+  std::stringstream ss(*v);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (!item.empty()) out.push_back(std::stod(item));
   }
   return out;
+}
+
+void Flags::reject_unread() const {
+  std::string unread;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) > 0) continue;
+    unread += unread.empty() ? "--" : ", --";
+    unread += name;
+  }
+  if (!unread.empty()) {
+    throw std::invalid_argument("unknown flag(s): " + unread);
+  }
 }
 
 BenchScale bench_scale(const Flags& flags, int def_trials, double def_sim_s) {

@@ -1,11 +1,14 @@
 // A tiny command-line flag parser for the bench and example binaries.
 //
-// Supported forms: --name value and --name=value.  Unknown flags abort with
-// a usage message so typos never silently run the wrong experiment.
+// Supported forms: --name value and --name=value.  Every name read through
+// has()/get() is recorded; once a binary has read its whole configuration,
+// reject_unread() throws on any flag given but never read, so a typo (or a
+// retired flag) never silently runs the wrong experiment.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,13 +32,17 @@ class Flags {
   [[nodiscard]] std::vector<double> get_list(
       const std::string& name, const std::vector<double>& fallback) const;
 
-  /// Names seen on the command line (for validation by the binary).
-  [[nodiscard]] const std::map<std::string, std::string>& all() const {
-    return values_;
-  }
+  /// Throws std::invalid_argument naming every flag given on the command
+  /// line but never read through has()/get()/get_list().  Call once, after
+  /// the binary has read its whole configuration.
+  void reject_unread() const;
 
  private:
+  /// The value of `name`, or nullptr when absent; records the read.
+  [[nodiscard]] const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 /// Common scale flags shared by every figure bench:

@@ -22,7 +22,6 @@
 #include "routing/bgca/bgca.hpp"
 #include "routing/linkstate/linkstate.hpp"
 #include "sim/random.hpp"
-#include "sim/sharding.hpp"
 #include "traffic/traffic_model.hpp"
 
 namespace rica::harness {
@@ -72,8 +71,8 @@ const std::vector<ScenarioPreset>& scenario_presets() {
        1414.2, 5, 30.0},
       {"metro", "500 nodes / 3 km²: stress the scale-out path", 500, 1732.1,
        100, 30.0},
-      {"large-scale", "10000 nodes / 200 km²: city-scale, needs the sharded "
-       "kernel", 10000, 14142.1, 2000, 30.0},
+      {"large-scale", "10000 nodes / 200 km²: a city at the paper's density",
+       10000, 14142.1, 2000, 30.0},
   };
   return presets;
 }
@@ -249,22 +248,16 @@ void validate_scenario(const ScenarioConfig& cfg) {
         " exceeds the 2^24 node-id limit (routing history keys pack the "
         "origin id into 24 bits)");
   }
-  if (cfg.shards > sim::Simulator::kMaxShards) {
-    throw std::invalid_argument(
-        "shards = " + std::to_string(cfg.shards) + " exceeds the kernel's " +
-        std::to_string(sim::Simulator::kMaxShards) +
-        "-shard limit (shard ids ride in the top EventId bits)");
-  }
-  if (cfg.shards > 1) {
-    const std::size_t cols = sim::grid_columns(cfg.field_m, cfg.radio_range_m);
-    if (cfg.shards > cols) {
+  const auto require_serial = [](const char* field, std::uint64_t value) {
+    if (value != 1) {
       throw std::invalid_argument(
-          "shards = " + std::to_string(cfg.shards) + " exceeds the " +
-          std::to_string(cols) + " grid column(s) a " + fmt_m(cfg.field_m) +
-          " m field holds at " + fmt_m(cfg.radio_range_m) +
-          " m range (shards stripe whole columns)");
+          std::string(field) + " = " + std::to_string(value) +
+          " is not supported: the event kernel is serial, so it must be 1 "
+          "(sweep parallelism is --threads on the figure benches)");
     }
-  }
+  };
+  require_serial("threads", cfg.threads);
+  require_serial("shards", cfg.shards);
   if (cfg.warmup_s < 0.0) {
     throw std::invalid_argument("warmup must be >= 0 seconds");
   }
@@ -282,7 +275,7 @@ void validate_scenario(const ScenarioConfig& cfg) {
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& cfg) {
-  // Validate population/shard/warmup bounds and parse the traffic spec
+  // Validate population/kernel/warmup bounds and parse the traffic spec
   // before any expensive construction, so a typo fails with a named value,
   // not mid-build.
   validate_scenario(cfg);
@@ -410,36 +403,15 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     recorder->dump(cfg.flight_dump, "exit", sim::seconds_f(cfg.sim_s));
   }
   auto summary = network.metrics().finalize(sim::seconds_f(cfg.sim_s));
-
-  // Every scalar statistic flows through the registry snapshot: one
-  // registration in Network's constructor is the whole plumbing for a new
-  // entry.  The legacy typed fields below are views into the snapshot kept
-  // for existing callers (the golden suite pins them against the hashes).
+  // Every scalar statistic — kernel and stack registrations and the named
+  // protocol counts alike — reaches the summary through this one registry
+  // snapshot; registered histograms join the collector's always-on ones.
   for (auto& s : network.registry().snapshot()) {
     summary.stats.emplace(s.name, std::move(s));
   }
-  // Registered distributions (e.g. the sharded kernel's staged-per-window
-  // histogram) join the collector's always-on ones in the summary.
   for (const auto& [name, h] : network.registry().histogram_snapshot()) {
     summary.histograms.insert_or_assign(name, h);
   }
-  const auto stat = [&summary](const char* name) {
-    const auto it = summary.stats.find(name);
-    return it == summary.stats.end() ? 0.0 : it->second.value;
-  };
-  summary.events_executed =
-      static_cast<std::uint64_t>(stat("kernel.events_executed"));
-  summary.batched_fires =
-      static_cast<std::uint64_t>(stat("kernel.batched_fires"));
-  summary.heap_fallbacks =
-      static_cast<std::uint64_t>(stat("kernel.heap_fallbacks"));
-  summary.peak_pending_events =
-      static_cast<std::uint64_t>(stat("kernel.peak_pending"));
-  summary.slab_high_water =
-      static_cast<std::uint64_t>(stat("kernel.slab_high_water"));
-  summary.pool_high_water =
-      static_cast<std::uint64_t>(stat("stack.pool_high_water"));
-  summary.table_load = stat("stack.table_load");
 
   // Detach before the sinks (declared after the network) are destroyed, so
   // nothing emitted during teardown can reach a dead sink.
@@ -470,21 +442,13 @@ ScenarioResult average(const std::vector<ScenarioResult>& runs) {
     avg.delay_p95_ms += r.delay_p95_ms / n;
     avg.delay_p99_ms += r.delay_p99_ms / n;
     avg.jain_fairness += r.jain_fairness / n;
-    avg.events_executed += r.events_executed;
-    avg.heap_fallbacks += r.heap_fallbacks;
-    avg.batched_fires += r.batched_fires;
-    avg.peak_pending_events =
-        std::max(avg.peak_pending_events, r.peak_pending_events);
-    avg.slab_high_water = std::max(avg.slab_high_water, r.slab_high_water);
-    avg.pool_high_water = std::max(avg.pool_high_water, r.pool_high_water);
-    avg.table_load = std::max(avg.table_load, r.table_load);
     for (std::size_t i = 0; i < stats::kNumDropReasons; ++i) {
       avg.drops[i] += r.drops[i];
     }
     avg.dropped += r.dropped;
-    // Registry samples fold by their own kind — counters sum, gauges keep
-    // the max — so a newly registered statistic aggregates correctly with
-    // no edit here.
+    // Registry samples (named counts included) fold by their own kind —
+    // counters sum, gauges keep the max — so a newly registered statistic
+    // aggregates correctly with no edit here.
     obs::fold_samples(avg.stats, r.stats);
     // Histograms pool exactly: merge() is an element-wise count add,
     // associative and order-independent, so the aggregate distribution is

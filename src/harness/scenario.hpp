@@ -57,13 +57,11 @@ struct ScenarioConfig {
   /// measures the whole run, bit-identical to the pre-warmup harness.
   double warmup_s = 0.0;
   std::uint64_t seed = 1;
-  /// Sharded-kernel knobs (see sim/simulator.hpp and channel/lookahead.hpp).
-  /// shards > 1 splits the arena into grid-column stripes with one event
-  /// wheel each; `threads` workers stage them behind the channel-derived
-  /// conservative window.  Neither field joins trial_seed: the kernel's
-  /// global-sequence commit order makes the event stream — and every golden
-  /// hash — identical for any shard/thread count, so the same cell seeds
-  /// must be replayed regardless of how the kernel is parallelized.
+  /// Retired kernel-parallelism knobs: the event kernel is serial, and
+  /// these fields remain only because the repository benchmark (perfbench/)
+  /// assigns them.  validate_scenario() rejects any value other than 1.
+  /// Sweep parallelism is BenchScale::threads (`--threads` on the figure
+  /// benches).
   unsigned threads = 1;
   std::uint32_t shards = 1;
   /// RICA tunables used when protocol == kRica (ablation studies).
@@ -136,11 +134,11 @@ struct ScenarioPreset {
 
 /// Validates a scenario before any expensive construction: population
 /// bounds (0 < num_nodes <= 2^24, mirroring the Network's node-id packing
-/// limit), kernel shard bounds (<= 64 shard ids, and no more shards than
-/// the arena holds grid columns at the radio range), and the measurement
-/// window (0 <= warmup < sim time).  Throws std::invalid_argument with a
-/// message naming the offending value; run_scenario calls this first, so
-/// every entry point fails identically before a network is built.
+/// limit), the retired kernel knobs (threads and shards must be 1), and the
+/// measurement window (0 <= warmup < sim time).  Throws
+/// std::invalid_argument with a message naming the offending value;
+/// run_scenario calls this first, so every entry point fails identically
+/// before a network is built.
 void validate_scenario(const ScenarioConfig& cfg);
 
 /// A run's outcome: the §III metrics.

@@ -107,6 +107,9 @@ std::vector<SweepPoint> run_speed_sweep(
       // occupancy — the knobs that tell whether the event core and the flat
       // memory layout, not the protocols, are the bottleneck at this grid
       // point.
+      const auto count = [&cell](const char* name) {
+        return static_cast<unsigned long long>(cell.result.stat(name));
+      };
       const std::scoped_lock lock(log_mu);
       std::fprintf(stderr,
                    "[sweep]   done %-9s %-12s %-12s speed=%5.1f: events=%llu"
@@ -116,18 +119,12 @@ std::vector<SweepPoint> run_speed_sweep(
                    " no_route=%llu link_break=%llu loop_cap=%llu)\n",
                    std::string(to_string(cell.protocol)).c_str(),
                    cell.mobility.c_str(), cell.traffic.c_str(),
-                   cell.mean_speed_kmh,
-                   static_cast<unsigned long long>(cell.result.events_executed),
-                   static_cast<unsigned long long>(cell.result.batched_fires),
-                   static_cast<unsigned long long>(
-                       cell.result.peak_pending_events),
-                   static_cast<unsigned long long>(
-                       cell.result.slab_high_water),
-                   static_cast<unsigned long long>(
-                       cell.result.heap_fallbacks),
-                   static_cast<unsigned long long>(
-                       cell.result.pool_high_water),
-                   cell.result.table_load,
+                   cell.mean_speed_kmh, count("kernel.events_executed"),
+                   count("kernel.batched_fires"), count("kernel.peak_pending"),
+                   count("kernel.slab_high_water"),
+                   count("kernel.heap_fallbacks"),
+                   count("stack.pool_high_water"),
+                   cell.result.stat("stack.table_load"),
                    static_cast<unsigned long long>(cell.result.dropped),
                    static_cast<unsigned long long>(cell.result.drops[0]),
                    static_cast<unsigned long long>(cell.result.drops[1]),

@@ -151,13 +151,7 @@ void LinkTransmitter::tx_attempt(net::NodeId neighbor) {
     delivered.hops = static_cast<std::uint16_t>(delivered.hops + 1);
     delivered.tput_sum_bps += channel::throughput_bps(csi);
     trace_pkt("tx_end", delivered, neighbor);
-    if (deliver_) {
-      // The handoff executes as the receiver's shard (receive_data may
-      // forward, reply, or re-time — all of it belongs in neighbor's
-      // wheel); the ACK rearm below runs back in the sender's shard.
-      sim::ShardScope scope(sim_, sim_.shard_of_node(neighbor));
-      deliver_(std::move(delivered), neighbor);
-    }
+    if (deliver_) deliver_(std::move(delivered), neighbor);
     // The sender frees the code once the ACK lands (rearming from inside
     // the timer's own callback: the airtime event is already dead).
     this->link(neighbor).timer.arm_after(sim_, ack_time, [this, neighbor] {

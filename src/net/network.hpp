@@ -18,6 +18,15 @@
 
 namespace rica::net {
 
+/// Retired kernel-parallelism knobs.  The event kernel is serial
+/// (sim/simulator.hpp); these fields remain only because the repository
+/// benchmark (perfbench/) assigns them, and Network rejects any value
+/// other than 1.  Sweep parallelism is `--threads` on the figure benches.
+struct KernelConfig {
+  unsigned threads = 1;      ///< must be 1
+  std::uint32_t shards = 1;  ///< must be 1
+};
+
 /// Everything needed to instantiate a network.
 struct NetworkConfig {
   std::size_t num_nodes = 50;
@@ -26,12 +35,7 @@ struct NetworkConfig {
   mac::CommonChannelConfig common_mac{};
   mac::LinkConfig link{};
   std::uint64_t seed = 1;
-  /// Sharded-kernel knobs.  shards > 1 splits the arena into grid-column
-  /// stripes (from the t = 0 positions) with one event wheel each, staged
-  /// on `threads` workers behind the channel-derived conservative window
-  /// (kernel.window zero derives it; see channel/lookahead.hpp).  The
-  /// defaults keep the serial engine — and its golden hashes — untouched.
-  sim::KernelConfig kernel{};
+  KernelConfig kernel{};  ///< retired; see KernelConfig
 };
 
 // kMaxNodes (the 24-bit node-id ceiling this constructor enforces) lives in
@@ -73,12 +77,12 @@ class Network {
   /// sampler's queue-occupancy column).
   [[nodiscard]] std::uint64_t buffered_packets() const;
 
-  /// The run's metrics registry.  The network registers every kernel and
-  /// stack statistic here at construction; the harness snapshots it into
-  /// MetricsSummary::stats after the run.  Adding a statistic means adding
-  /// one registration here — the summary, sweep folding, and serialized
-  /// output all pick it up from the snapshot.
-  [[nodiscard]] obs::Registry& registry() { return registry_; }
+  /// The run's metrics registry, owned by metrics().  The network registers
+  /// every kernel and stack statistic here at construction, and the harness
+  /// snapshots it into MetricsSummary::stats after the run.
+  /// Adding a statistic means adding one registration here — the summary,
+  /// sweep folding, and serialized output all pick it up from the snapshot.
+  [[nodiscard]] obs::Registry& registry() { return metrics_.registry(); }
 
   /// Installs one network-wide observer of final packet deliveries (the
   /// feedback path closed-loop traffic models ride on).  Called after
@@ -95,7 +99,6 @@ class Network {
   stats::MetricsCollector metrics_;
   mac::CommonChannelMac common_mac_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  obs::Registry registry_;
 };
 
 }  // namespace rica::net

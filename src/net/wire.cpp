@@ -1,6 +1,5 @@
 #include "net/wire.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 
@@ -452,7 +451,7 @@ DataPacket decode_data_header(const std::uint8_t* data, std::size_t size) {
 namespace {
 
 template <std::size_t I = 0>
-void check_alternatives(std::uint16_t& min_seen) {
+void check_alternatives() {
   if constexpr (I < std::variant_size_v<ControlPayload>) {
     using Alt = std::variant_alternative_t<I, ControlPayload>;
     ControlPacket pkt;
@@ -473,23 +472,14 @@ void check_alternatives(std::uint16_t& min_seen) {
           "wire: round trip of ControlPayload alternative " +
           std::to_string(I) + " changed the message type");
     }
-    min_seen = std::min(min_seen, static_cast<std::uint16_t>(encoded));
-    check_alternatives<I + 1>(min_seen);
+    check_alternatives<I + 1>();
   }
 }
 
 }  // namespace
 
 void check_wire_invariants() {
-  std::uint16_t min_seen = 0xFFFF;
-  check_alternatives(min_seen);
-  if (min_seen != kMinControlBytes) {
-    throw std::logic_error(
-        "wire: smallest encodable control frame is " +
-        std::to_string(min_seen) + " bytes but kMinControlBytes — the "
-        "sharded kernel's lookahead floor — is " +
-        std::to_string(kMinControlBytes));
-  }
+  check_alternatives();
   std::vector<std::uint8_t> buf;
   const std::size_t header = encode_data_header(DataPacket{}, buf);
   if (header != kDataHeaderBytes) {

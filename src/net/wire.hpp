@@ -26,12 +26,6 @@
 // Release-mode-vanishing assert.  The encoder enforces the same contracts
 // (an LsuMsg whose row would overflow the u16 size field throws instead of
 // truncating, the bug the old Sizer hid behind a debug-only assert).
-//
-// The sharded kernel's conservative-lookahead floor is derived *here*:
-// `kMinControlBytes` is the minimum over every codec's smallest frame,
-// checked against the live encoders by check_wire_invariants() at network
-// construction, so the floor can never drift from what the codecs emit
-// (it used to be a hand-synced constant in packet.hpp).
 #pragma once
 
 #include <array>
@@ -181,7 +175,7 @@ inline constexpr std::uint16_t kLsuLinkBytes = 5;
 /// Fixed body bytes of each ControlPayload alternative, indexed by variant
 /// index (the LsuMsg entry is its zero-link body: origin, seq, link count).
 /// The serializers in wire.cpp are the source of truth; these constants
-/// exist so the lookahead floor below is a compile-time value, and
+/// let encoded_control_size() size a frame without encoding it, and
 /// check_wire_invariants() proves they match the live encoders.
 inline constexpr std::array<std::uint16_t, 17> kControlBodyBytes = {
     22,  // RreqMsg:        src, dst, bid, csi_hops f64, topo_hops u16
@@ -204,26 +198,6 @@ inline constexpr std::array<std::uint16_t, 17> kControlBodyBytes = {
 };
 static_assert(kControlBodyBytes.size() == std::variant_size_v<ControlPayload>,
               "one body-size entry per ControlPayload alternative");
-
-namespace detail {
-[[nodiscard]] constexpr std::uint16_t min_body_bytes() {
-  std::uint16_t m = kControlBodyBytes[0];
-  for (const auto b : kControlBodyBytes) m = b < m ? b : m;
-  return m;
-}
-}  // namespace detail
-
-/// Smallest control frame any codec emits (the ABR beacon: header + u32
-/// origin).  This is the sharded kernel's lookahead floor — no transmission
-/// can complete, and therefore no cross-shard causal effect can land, in
-/// less than this frame's airtime plus the MAC's minimum backoff
-/// (channel/lookahead.hpp).  Derived from the codec table above and
-/// cross-checked against the live encoders by check_wire_invariants(), so
-/// a codec change that shrinks any frame is a build/startup error, never a
-/// silently unsound lookahead window.
-inline constexpr std::uint16_t kMinControlBytes =
-    kControlHeaderBytes + detail::min_body_bytes();
-static_assert(kMinControlBytes == 9, "ABR beacon: 5-byte header + u32 origin");
 
 // ---------------------------------------------------------------------------
 // Codecs.
@@ -276,11 +250,10 @@ std::size_t encode_data_header(const DataPacket& pkt,
 
 /// Startup cross-check of the layout constants against the live encoders:
 /// every default-constructed ControlPayload alternative must encode to
-/// exactly kControlHeaderBytes + kControlBodyBytes[index] bytes, the
-/// minimum over them must equal kMinControlBytes, and the data header must
-/// encode to kDataHeaderBytes.  Throws std::logic_error naming the
-/// offending type on any drift — the lookahead floor and airtime
-/// accounting both lean on these constants.  Called by the Network
+/// exactly kControlHeaderBytes + kControlBodyBytes[index] bytes, and the
+/// data header must encode to kDataHeaderBytes.  Throws std::logic_error
+/// naming the offending type on any drift — airtime accounting leans on
+/// these constants.  Called by the Network
 /// constructor, so no simulation can run with a drifted table.
 void check_wire_invariants();
 

@@ -22,6 +22,13 @@ Gauge& Registry::gauge(const std::string& name) {
   return *e.gauge;
 }
 
+Counter* Registry::find_counter(const std::string& name) {
+  const auto it = entries_.find(name);
+  return it == entries_.end() ? nullptr : it->second.counter.get();
+}
+
+void Registry::erase(const std::string& name) { entries_.erase(name); }
+
 void Registry::counter_fn(const std::string& name, std::function<double()> fn) {
   auto& e = entries_[name];
   e = Entry{};

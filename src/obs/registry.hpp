@@ -74,6 +74,11 @@ class Registry {
   Counter& counter(const std::string& name);
   /// Registers an owned gauge under `name` and returns it.
   Gauge& gauge(const std::string& name);
+  /// The owned counter registered under `name`, or nullptr when `name` is
+  /// unregistered or not an owned counter.
+  [[nodiscard]] Counter* find_counter(const std::string& name);
+  /// Unregisters `name` (no-op when absent); later snapshots omit it.
+  void erase(const std::string& name);
 
   /// Registers a counter whose value is read lazily at snapshot time —
   /// for statistics an existing object already tracks (e.g. the

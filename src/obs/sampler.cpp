@@ -78,9 +78,7 @@ void SeriesSampler::sample(sim::Simulator& sim) {
 void KernelProbe::on_kernel_window(sim::Time now,
                                    std::uint64_t events_executed,
                                    std::uint64_t batched_fires,
-                                   std::size_t pending,
-                                   const std::size_t* shard_pending,
-                                   std::size_t num_shards) {
+                                   std::size_t pending) {
   if (tracer_ != nullptr && tracer_->kernel_on()) {
     tracer_->kernel(KernelTrace{now, events_executed, batched_fires,
                                 static_cast<std::uint64_t>(pending)});
@@ -96,14 +94,6 @@ void KernelProbe::on_kernel_window(sim::Time now,
                        batched);
     perfetto_->counter(PerfettoWriter::kKernelPid, "spill_per_window", now,
                        fired - batched);
-    // One counter track per shard: the live occupancy of each wheel, the
-    // visual for staging balance across stripes.
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      char name[32];
-      std::snprintf(name, sizeof(name), "shard%zu_pending", s);
-      perfetto_->counter(PerfettoWriter::kKernelPid, name, now,
-                         shard_pending[s]);
-    }
   }
   last_executed_ = events_executed;
   last_batched_ = batched_fires;

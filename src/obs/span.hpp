@@ -28,11 +28,11 @@
 // packet's route_wait names which kind of episode it sat behind.
 //
 // Determinism: span ids are allocated in the order spans open, which is the
-// kernel's serial commit order — identical for any shard/thread count — and
-// records are emitted when spans *close*, so the span stream is t_ns-
-// monotone and byte-identical across reruns.  A parent id may reference a
-// root emitted later (schema checkers collect ids first).  finish() flushes
-// still-open spans with detail "in_flight" at the run's end time.
+// kernel's deterministic firing order, and records are emitted when spans
+// *close*, so the span stream is t_ns-monotone and byte-identical across
+// reruns.  A parent id may reference a root emitted later (schema checkers
+// collect ids first).  finish() flushes still-open spans with detail
+// "in_flight" at the run's end time.
 #pragma once
 
 #include <cstdint>

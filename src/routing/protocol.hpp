@@ -65,7 +65,8 @@ class ProtocolHost {
   /// Total data packets buffered at this node (ABR's load metric).
   [[nodiscard]] virtual std::size_t buffered_count() const = 0;
 
-  /// Named diagnostic counter (forwarded to the metrics collector).
+  /// Named diagnostic count: a registry counter in the metrics collector,
+  /// scoped to the measurement window (see MetricsCollector::inc).
   virtual void count(const std::string& name, std::uint64_t by = 1) = 0;
 
   /// Emits a route-lifecycle trace record (stage: discovery_start,

@@ -1,220 +1,28 @@
 #include "sim/simulator.hpp"
 
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-
 namespace rica::sim {
 
-// Persistent fork-join staging crew.  stage() publishes a horizon under the
-// mutex and blocks until every worker has staged its shards; workers own
-// disjoint engine subsets (round-robin by index), and the mutex handoff
-// orders all staging writes before the serial commit phase reads them.
-struct Simulator::StagePool {
-  StagePool(Simulator& sim, unsigned threads) : sim_(sim) {
-    threads_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) {
-      threads_.emplace_back([this, i, threads] { worker(i, threads); });
-    }
-  }
-
-  ~StagePool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  void stage(Time horizon) {
-    std::unique_lock<std::mutex> lock(mu_);
-    horizon_ = horizon;
-    ++epoch_;
-    remaining_ = static_cast<unsigned>(threads_.size());
-    cv_.notify_all();
-    done_cv_.wait(lock, [this] { return remaining_ == 0; });
-  }
-
- private:
-  void worker(unsigned idx, unsigned stride) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      Time horizon;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-        if (stop_) return;
-        seen = epoch_;
-        horizon = horizon_;
-      }
-      for (std::size_t s = idx; s < sim_.engines_.size(); s += stride) {
-        sim_.engines_[s]->stage_until(horizon);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        --remaining_;
-      }
-      done_cv_.notify_one();
-    }
-  }
-
-  Simulator& sim_;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  Time horizon_{};
-  std::uint64_t epoch_ = 0;
-  unsigned remaining_ = 0;
-  bool stop_ = false;
-};
-
-Simulator::Simulator() {
-  engines_.push_back(std::make_unique<EventEngine>());
-  shard_events_.assign(1, 0);
-  channel_counts_.assign(1, 0);
-}
-
-Simulator::~Simulator() = default;
-
-void Simulator::configure_shards(std::vector<std::uint32_t> node_shard,
-                                 std::uint32_t num_shards, Time window,
-                                 unsigned threads) {
-  assert(engines_.size() == 1 && engines_[0]->empty() &&
-         events_executed_ == 0 && "configure_shards on a live kernel");
-  assert(num_shards >= 1 && num_shards <= kMaxShards);
-  assert(window >= Time::zero());
-  if (num_shards <= 1) return;  // serial engine: exact pre-sharding behavior
-  node_shard_ = std::move(node_shard);
-  for ([[maybe_unused]] const auto s : node_shard_) {
-    assert(s < num_shards && "node mapped past the shard count");
-  }
-  window_ = window;
-  engines_.reserve(num_shards);
-  while (engines_.size() < num_shards) {
-    engines_.push_back(std::make_unique<EventEngine>());
-  }
-  for (auto& e : engines_) e->use_shared_seq(&shared_seq_);
-  shard_events_.assign(num_shards, 0);
-  channel_counts_.assign(static_cast<std::size_t>(num_shards) * num_shards,
-                         0);
-  shard_pending_scratch_.assign(num_shards, 0);
-  const unsigned workers =
-      threads > num_shards ? num_shards : threads;
-  if (workers >= 2) pool_ = std::make_unique<StagePool>(*this, workers);
-}
-
-void Simulator::observe_fire() {
+void Simulator::fire_next(Time t) {
+  now_ = t;
+  ++events_executed_;
+  engine_.fire_next();
   if (observer_ == nullptr || now_ < next_observation_) return;
   next_observation_ = now_ + observer_interval_;
-  const std::size_t* per_shard = nullptr;
-  std::size_t n_shards = 0;
-  if (sharded()) {
-    for (std::size_t s = 0; s < engines_.size(); ++s) {
-      shard_pending_scratch_[s] = engines_[s]->size();
-    }
-    per_shard = shard_pending_scratch_.data();
-    n_shards = engines_.size();
-  }
-  observer_->on_kernel_window(now_, events_executed_, batched_fires(), live_,
-                              per_shard, n_shards);
-}
-
-void Simulator::stage_all(Time horizon) {
-  if (pool_ != nullptr) {
-    pool_->stage(horizon);
-    return;
-  }
-  for (auto& e : engines_) e->stage_until(horizon);
-}
-
-void Simulator::run_windows(Time end, bool bound_clock) {
-  constexpr auto kNone = ~std::size_t{0};
-  for (;;) {
-    // Global minimum over the shard wheels: the next window's base time.
-    bool any = false;
-    Time tmin = Time::zero();
-    for (auto& e : engines_) {
-      if (e->empty()) continue;
-      const Time t = e->next_time();
-      if (!any || t < tmin) tmin = t;
-      any = true;
-    }
-    if (!any || tmin > end) break;
-    const Time horizon =
-        end - tmin > window_ ? tmin + window_ : end;
-    ++windows_;
-    if (window_hook_) {
-      const std::uint64_t before = staged_events();
-      stage_all(horizon);
-      window_hook_(staged_events() - before);
-    } else {
-      stage_all(horizon);
-    }
-    // Serial commit: fire across shards in exact global (at, seq) order.
-    // Events a commit schedules inside the horizon — including cross-shard
-    // sends — join the scan immediately, so the order matches the serial
-    // engine event for event regardless of the window size.
-    for (;;) {
-      std::size_t best = kNone;
-      Time bt = Time::zero();
-      std::uint64_t bs = 0;
-      for (std::size_t s = 0; s < engines_.size(); ++s) {
-        if (engines_[s]->empty()) continue;
-        const auto [t, q] = engines_[s]->next_key();
-        if (t > horizon) continue;
-        if (best == kNone || t < bt || (t == bt && q < bs)) {
-          best = s;
-          bt = t;
-          bs = q;
-        }
-      }
-      if (best == kNone) break;
-      now_ = bt;
-      ambient_ = static_cast<std::uint32_t>(best);
-      ++events_executed_;
-      ++shard_events_[best];
-      --live_;
-      engines_[best]->fire_next();
-      observe_fire();
-    }
-    ambient_ = 0;
-  }
-  if (bound_clock && end > now_) now_ = end;
+  observer_->on_kernel_window(now_, events_executed_, engine_.batched_fires(),
+                              engine_.size());
 }
 
 void Simulator::run_until(Time end) {
-  if (sharded()) {
-    run_windows(end, /*bound_clock=*/true);
-    return;
-  }
-  EventEngine& engine = *engines_[0];
-  while (!engine.empty()) {
-    const Time t = engine.next_time();
+  while (!engine_.empty()) {
+    const Time t = engine_.next_time();
     if (t > end) break;
-    now_ = t;
-    ++events_executed_;
-    --live_;
-    engine.fire_next();
-    observe_fire();
+    fire_next(t);
   }
   if (end > now_) now_ = end;
 }
 
 void Simulator::run_all() {
-  if (sharded()) {
-    run_windows(Time::max(), /*bound_clock=*/false);
-    return;
-  }
-  EventEngine& engine = *engines_[0];
-  while (!engine.empty()) {
-    now_ = engine.next_time();
-    ++events_executed_;
-    --live_;
-    engine.fire_next();
-    observe_fire();
-  }
+  while (!engine_.empty()) fire_next(engine_.next_time());
 }
 
 }  // namespace rica::sim

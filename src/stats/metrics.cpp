@@ -99,7 +99,8 @@ void MetricsCollector::reset_epoch(sim::Time now) {
   collision_count_ = 0;
   drops_.fill(0);
   series_.clear();
-  counters_.clear();
+  for (const auto& name : named_counts_) registry_.erase(name);
+  named_counts_.clear();
   flows_.clear();
   delay_ns_ = obs::LogHistogram{};
   queue_depth_ = obs::LogHistogram{};
@@ -110,12 +111,16 @@ void MetricsCollector::reset_epoch(sim::Time now) {
 }
 
 void MetricsCollector::inc(const std::string& name, std::uint64_t by) {
-  counters_[name] += by;
+  obs::Counter* c = registry_.find_counter(name);
+  if (c == nullptr) {
+    c = &registry_.counter(name);
+    named_counts_.push_back(name);
+  }
+  c->add(by);
 }
 
 std::uint64_t MetricsCollector::counter(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+  return static_cast<std::uint64_t>(registry_.read(name));
 }
 
 MetricsSummary MetricsCollector::finalize(sim::Time sim_duration) const {
@@ -139,7 +144,6 @@ MetricsSummary MetricsCollector::finalize(sim::Time sim_duration) const {
   s.control_transmissions = control_tx_count_;
   s.control_collisions = collision_count_;
   s.tput_kbps_series = series_.kbps();
-  s.counters = counters_;
   s.stream_hash = stream_hash_;
   s.measure_start = epoch_start_;
 

@@ -93,7 +93,6 @@ struct MetricsSummary {
   std::uint64_t control_transmissions = 0;
   std::uint64_t control_collisions = 0;
   std::vector<double> tput_kbps_series;
-  std::map<std::string, std::uint64_t> counters;  ///< protocol diagnostics
   // Workload-axis metrics: delay percentiles pooled over every delivered
   // packet, Jain's fairness index over per-flow delivered throughput, and
   // the per-flow table backing both.  The run-level percentiles come from
@@ -112,40 +111,27 @@ struct MetricsSummary {
   std::uint64_t stream_hash = 0;
   /// Start of the measurement window (0 without warmup; see reset_epoch).
   sim::Time measure_start{};
-  // Kernel observability, filled by the harness from the Simulator after the
-  // run.  Across trials, events_executed accumulates (total kernel work) and
-  // the two high-water marks keep the per-trial maximum.
-  std::uint64_t events_executed = 0;       ///< events fired by the kernel
-  std::uint64_t peak_pending_events = 0;   ///< max simultaneously pending
-  std::uint64_t slab_high_water = 0;       ///< max event records in use
-  /// Closures that outgrew the engine's inline buffer
-  /// (sim::EventEngine::kInlineBytes) and spilled to a heap cell — the data
-  /// behind the inline-buffer sizing decision; the golden suite pins it to
-  /// zero.  Accumulates across trials like events_executed.
-  std::uint64_t heap_fallbacks = 0;
-  /// Events fired off the engine's sorted same-tick batch (vs. the spill
-  /// heap); near events_executed when batching is effective.  Accumulates
-  /// across trials.
-  std::uint64_t batched_fires = 0;
-  /// Peak live entries across the stack's free-list pools (MAC control
-  /// queues + per-node data queues); per-trial maximum across trials.
-  std::uint64_t pool_high_water = 0;
-  /// Max open-addressing table occupancy observed at run end (routing /
-  /// history / link tables); per-trial maximum across trials.
-  double table_load = 0.0;
-  /// Every registered observability statistic, keyed by name, with its fold
-  /// kind attached (see obs::Registry).  The typed kernel fields above are
-  /// populated from this map by the harness; new statistics only need a
-  /// registration, not a summary field.  Across trials, average() folds by
-  /// kind: counters sum, gauges keep the maximum.
+  /// Every scalar statistic of the run, keyed by name, with its fold kind
+  /// attached: harness::run_scenario copies the run's obs::Registry
+  /// snapshot here, so it holds the kernel and stack registrations (e.g.
+  /// "kernel.events_executed", "stack.table_load") and the named protocol
+  /// counts (e.g. "rica.discovery", see MetricsCollector::inc).  New
+  /// statistics only need a registration, not a summary field.  Across
+  /// trials, average() folds by kind: counters sum, gauges keep the
+  /// maximum.  Read one with stat().
   std::map<std::string, obs::Sample> stats;
   /// Bounded log-bucketed distributions, keyed by name: always-on
   /// "delay_ns" / "queue_depth" / "airtime_ns" from the collector plus any
-  /// histogram registered in the obs::Registry (e.g. the sharded kernel's
-  /// "kernel.staged_per_window").  Across trials, average() merges by name
-  /// — LogHistogram::merge is exact and associative, so pooled percentiles
-  /// are identical no matter how trials are grouped.
+  /// histogram registered in the obs::Registry.  Across trials, average()
+  /// merges by name — LogHistogram::merge is exact and associative, so
+  /// pooled percentiles are identical no matter how trials are grouped.
   std::map<std::string, obs::LogHistogram> histograms;
+
+  /// The value of statistic `name` in `stats`; 0 when absent.
+  [[nodiscard]] double stat(const std::string& name) const {
+    const auto it = stats.find(name);
+    return it == stats.end() ? 0.0 : it->second.value;
+  }
 };
 
 /// FNV-1a running hash (64-bit), folded one event record at a time.  Used
@@ -201,12 +187,20 @@ class MetricsCollector {
     return discovery_failures_;
   }
 
-  /// Free-form named counters for protocol diagnostics and tests.
+  /// Named counts for protocol diagnostics and tests: `name` becomes an
+  /// owned counter in registry() on first use, so it reaches
+  /// MetricsSummary::stats like every other statistic.  Named counts belong to the
+  /// measurement window: reset_epoch() unregisters them.  A name must not
+  /// collide with a statistic registered by another layer.
   void inc(const std::string& name, std::uint64_t by = 1);
+  /// Current value of statistic `name` in registry(); 0 when absent.
   [[nodiscard]] std::uint64_t counter(const std::string& name) const;
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
+
+  /// The run's metrics registry.  Every layer that reports a statistic
+  /// already holds the collector, so the registry lives here;
+  /// net::Network::registry() forwards to it, and harness::run_scenario
+  /// snapshots it into MetricsSummary::stats and ::histograms.
+  [[nodiscard]] obs::Registry& registry() { return registry_; }
 
   /// Per-flow tallies (keyed by the traffic generator's flow id).
   struct FlowStats {
@@ -228,7 +222,7 @@ class MetricsCollector {
 
   // -- measurement window ---------------------------------------------------
   /// Opens a fresh measurement epoch at `now`: every accumulator (counts,
-  /// sums, drops, series, flow tallies, diagnostics, stream hash) restarts
+  /// sums, drops, series, flow tallies, named counts, stream hash) restarts
   /// from zero and finalize() reports rates over (now, sim_duration].  This
   /// is the whole warmup implementation — one reset event at the end of the
   /// transient instead of an is-warm branch on every counter update — so a
@@ -276,7 +270,8 @@ class MetricsCollector {
   std::uint64_t collision_count_ = 0;
   std::array<std::uint64_t, kNumDropReasons> drops_{};
   ThroughputSeries series_{};
-  std::map<std::string, std::uint64_t> counters_;
+  obs::Registry registry_;
+  std::vector<std::string> named_counts_;  ///< inc() names this epoch
   std::map<std::uint32_t, FlowStats> flows_;
   obs::LogHistogram delay_ns_;     ///< pooled end-to-end delay
   obs::LogHistogram queue_depth_;  ///< link-queue depth at enqueue

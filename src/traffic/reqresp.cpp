@@ -43,12 +43,6 @@ void ReqRespTraffic::schedule_request(std::size_t flow_idx) {
     timers_[flow_idx].cancel();
     return;
   }
-  // Home the think-time chain in the requester's shard (same rationale as
-  // OpenLoopTraffic::schedule_next).
-  sim::ShardScope scope(network_.simulator(),
-                        network_.simulator().shard_of_node(
-                            flows_[flow_idx].src),
-                        sim::ShardScope::Kind::kHoming);
   timers_[flow_idx].arm_at(network_.simulator(), at,
                            [this, flow_idx] { send_request(flow_idx); });
 }

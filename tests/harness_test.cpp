@@ -19,6 +19,7 @@
 #include "harness/sweep.hpp"
 #include "harness/table.hpp"
 #include "mobility/trace.hpp"
+#include "net/network.hpp"
 
 namespace rica::harness {
 namespace {
@@ -70,6 +71,32 @@ TEST(Flags, DefaultsWhenAbsent) {
   const auto f = parse({});
   EXPECT_EQ(f.get("trials", 5), 5);
   EXPECT_EQ(f.get("name", std::string{"x"}), "x");
+}
+
+TEST(Flags, RejectUnreadNamesEachUnreadFlag) {
+  const auto f = parse({"--protocl", "aodv", "--trials", "3", "--shards=8"});
+  EXPECT_EQ(f.get("trials", 1), 3);
+  try {
+    f.reject_unread();
+    FAIL() << "unread flags were accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--protocl"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--shards"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("--trials"), std::string::npos) << msg;
+  }
+}
+
+TEST(Flags, RejectUnreadPassesOnceEveryFlagIsRead) {
+  const auto f = parse({"--paper-scale", "--seed=4"});
+  EXPECT_TRUE(f.has("paper-scale"));
+  EXPECT_EQ(f.get("seed", std::uint64_t{0}), 4u);
+  EXPECT_NO_THROW(f.reject_unread());
+  // bench_scale reads every shared scale flag, sweep --threads included.
+  const auto g = parse({"--trials", "2", "--threads", "4", "--preset",
+                        "metro", "--warmup", "1"});
+  (void)bench_scale(g, 3, 100.0);
+  EXPECT_NO_THROW(g.reject_unread());
 }
 
 TEST(BenchScale, DefaultsApply) {
@@ -257,7 +284,8 @@ TEST(Warmup, CountersEqualPostWindowDeltasOfColdRun) {
     EXPECT_EQ(rw.drops[i], rt.drops[i] - rp.drops[i]) << "drop reason " << i;
   }
   // The whole warmup machinery is a single extra event.
-  EXPECT_EQ(rw.events_executed, rt.events_executed + 1);
+  EXPECT_EQ(rw.stat("kernel.events_executed"),
+            rt.stat("kernel.events_executed") + 1);
   // Overhead is the delta of control+ACK bits over the 12 s window (kbps *
   // seconds = kbits; reconstructed, so compare with a rounding tolerance).
   const double window_kbits =
@@ -278,7 +306,7 @@ TEST(Warmup, ZeroWarmupIsBitIdenticalToDefaultRun) {
   EXPECT_EQ(plain.generated, zero.generated);
   EXPECT_EQ(plain.delivered, zero.delivered);
   EXPECT_EQ(plain.overhead_kbps, zero.overhead_kbps);
-  EXPECT_EQ(plain.events_executed, zero.events_executed);
+  EXPECT_EQ(plain.stats, zero.stats);
   EXPECT_EQ(plain.measure_start, sim::Time::zero());
   EXPECT_EQ(zero.measure_start, sim::Time::zero());
 }
@@ -545,9 +573,9 @@ TEST(AdaptiveChecks, StillDeliversUnderMobility) {
 }
 
 // ---------------------------------------------------------------------------
-// validate_scenario: one thrown pass for population, shard, and warmup
-// bounds, with messages naming the offending value (satellite of the
-// sharded-kernel work; run_scenario calls this before any construction).
+// validate_scenario: one thrown pass for population, retired kernel knobs,
+// and warmup bounds, with messages naming the offending value
+// (run_scenario calls this before any construction).
 // ---------------------------------------------------------------------------
 
 // Captures the exception message so tests can pin its content.
@@ -579,27 +607,39 @@ TEST(ValidateScenario, RejectsEmptyAndOversizedPopulations) {
   EXPECT_NO_THROW(validate_scenario(cfg));
 }
 
-TEST(ValidateScenario, RejectsMoreShardsThanTheKernelSupports) {
-  ScenarioConfig cfg;
-  cfg.field_m = 100000.0;  // plenty of columns; the shard-id cap must fire
-  cfg.shards = 65;
-  const auto msg = validation_error(cfg);
-  EXPECT_NE(msg.find("shards = 65"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("64-shard limit"), std::string::npos) << msg;
-}
-
-TEST(ValidateScenario, RejectsMoreShardsThanGridColumns) {
-  ScenarioConfig cfg;  // 1000 m field at 250 m range: 4 columns
-  cfg.shards = 5;
-  const auto msg = validation_error(cfg);
-  EXPECT_NE(msg.find("shards = 5"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("4 grid column"), std::string::npos) << msg;
-  cfg.shards = 4;
-  EXPECT_NO_THROW(validate_scenario(cfg));
-  // run_scenario front-loads the same check before building a network.
-  cfg.shards = 5;
-  EXPECT_THROW({ auto r = run_scenario(cfg); (void)r; },
-               std::invalid_argument);
+TEST(ValidateScenario, RejectsRetiredKernelKnobs) {
+  // The kernel is serial: threads and shards survive only as fields the
+  // repository benchmark assigns, and any value but 1 is an error naming
+  // the field — from validate_scenario, run_scenario and Network alike.
+  for (const char* field : {"threads", "shards"}) {
+    ScenarioConfig cfg;
+    net::NetworkConfig net;
+    if (std::string(field) == "threads") {
+      cfg.threads = 2;
+      net.kernel.threads = 2;
+    } else {
+      cfg.shards = 2;
+      net.kernel.shards = 2;
+    }
+    SCOPED_TRACE(field);
+    const auto msg = validation_error(cfg);
+    EXPECT_NE(msg.find(std::string(field) + " = 2"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("serial"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--threads"), std::string::npos) << msg;
+    EXPECT_THROW({ auto r = run_scenario(cfg); (void)r; },
+                 std::invalid_argument);
+    try {
+      net::Network network(net);
+      ADD_FAILURE() << "Network accepted kernel." << field << " = 2";
+    } catch (const std::invalid_argument& e) {
+      const std::string net_msg = e.what();
+      EXPECT_NE(net_msg.find(std::string("kernel.") + field + " = 2"),
+                std::string::npos)
+          << net_msg;
+      EXPECT_NE(net_msg.find("serial"), std::string::npos) << net_msg;
+    }
+  }
 }
 
 TEST(ValidateScenario, RejectsWarmupOutsideTheRun) {
@@ -609,6 +649,26 @@ TEST(ValidateScenario, RejectsWarmupOutsideTheRun) {
   cfg.warmup_s = cfg.sim_s;
   const auto msg = validation_error(cfg);
   EXPECT_NE(msg.find("measurement window"), std::string::npos) << msg;
+}
+
+// ---------------------------------------------------------------------------
+// One stats path: named protocol counts live in the registry snapshot, so
+// average() folds them like every other counter.
+// ---------------------------------------------------------------------------
+
+TEST(Average, NamedCountsSumAcrossTrials) {
+  ScenarioConfig cfg;
+  cfg.protocol = ProtocolKind::kRica;
+  cfg.sim_s = 5.0;
+  cfg.seed = 3;
+  double sum = 0.0;
+  for (int t = 0; t < 2; ++t) {
+    ScenarioConfig one = cfg;
+    one.seed = trial_seed(cfg, t);
+    sum += run_scenario(one).stat("rica.discovery");
+  }
+  EXPECT_GT(sum, 0.0);
+  EXPECT_EQ(run_trials(cfg, 2).stat("rica.discovery"), sum);
 }
 
 TEST(RicaConfigPlumbing, CheckPeriodAffectsOverhead) {

@@ -29,10 +29,10 @@ TEST(ControlSizes, AllTypesHavePositiveSize) {
 }
 
 TEST(ControlSizes, BeaconIsSmallest) {
-  // Beacons dominate ABR's idle overhead; they must be the cheapest packet
-  // (they are also the sharded kernel's lookahead floor, wire.hpp).
+  // Beacons dominate ABR's idle overhead; they must be the cheapest packet:
+  // a 5-byte control header plus the u32 origin.
   const auto beacon = wire::encoded_control_size(AbrBeaconMsg{});
-  EXPECT_EQ(beacon, wire::kMinControlBytes);
+  EXPECT_EQ(beacon, 9);
   EXPECT_LT(beacon, wire::encoded_control_size(RreqMsg{}));
   EXPECT_LT(beacon, wire::encoded_control_size(LsuMsg{}));
 }

@@ -129,6 +129,29 @@ TEST(Simulator, CancelAndPendingRoundTrip) {
   EXPECT_EQ(sim.events_executed(), 2u);
 }
 
+TEST(Simulator, FiredAndStaleHandlesAreInert) {
+  Simulator sim;
+  bool fired = false;
+  const EventId done = sim.after(milliseconds(1), [&] { fired = true; });
+  const EventId dropped = sim.after(milliseconds(2), [] {});
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.cancel(dropped));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(sim.cancel(dropped));  // already cancelled
+  EXPECT_FALSE(sim.pending(dropped));
+  sim.run_until(milliseconds(5));
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(sim.pending(done));  // already fired
+  EXPECT_FALSE(sim.cancel(done));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // New events recycle the freed slots; the old handles stay dead.
+  const EventId next = sim.after(milliseconds(1), [] {});
+  EXPECT_FALSE(sim.pending(done));
+  EXPECT_FALSE(sim.cancel(dropped));
+  EXPECT_TRUE(sim.pending(next));
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
 TEST(Timer, FiresWhenArmed) {
   Simulator sim;
   Timer timer;

@@ -306,16 +306,12 @@ TEST(AnomalyWatchdog, DropStormTriggersDeterministically) {
   std::filesystem::remove(cfg.flight_dump);
 
   ASSERT_GT(a.dropped, 0u) << "the crafted storm must actually drop";
-  const auto stat = [](const harness::ScenarioResult& r, const char* name) {
-    const auto it = r.stats.find(name);
-    return it == r.stats.end() ? -1.0 : it->second.value;
-  };
-  EXPECT_GT(stat(a, "anomaly.drop_spike"), 0.0);
-  EXPECT_EQ(stat(a, "anomaly.dumps"), 1.0);
+  EXPECT_GT(a.stat("anomaly.drop_spike"), 0.0);
+  EXPECT_EQ(a.stat("anomaly.dumps"), 1.0);
   // Determinism: identical triggers, counters, and dump bytes on rerun.
-  EXPECT_EQ(stat(a, "anomaly.drop_spike"), stat(b, "anomaly.drop_spike"));
-  EXPECT_EQ(stat(a, "anomaly.discovery_storm"),
-            stat(b, "anomaly.discovery_storm"));
+  EXPECT_EQ(a.stat("anomaly.drop_spike"), b.stat("anomaly.drop_spike"));
+  EXPECT_EQ(a.stat("anomaly.discovery_storm"),
+            b.stat("anomaly.discovery_storm"));
   EXPECT_EQ(a.stream_hash, b.stream_hash);
   ASSERT_FALSE(dump_a.empty());
   EXPECT_EQ(dump_a, dump_b);

@@ -427,7 +427,7 @@ TEST_P(Conservation, PerFlowCountsBalanceAtStop) {
   EXPECT_EQ(drop, agg_drops);
   // Kernel observability sanity: every closure in the stack still fits the
   // 128 B inline buffer (the datum behind the sizing decision).
-  EXPECT_EQ(r.heap_fallbacks, 0u);
+  EXPECT_EQ(r.stat("kernel.heap_fallbacks"), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -456,7 +456,7 @@ TEST(TrafficDefault, PoissonSpecIsBitIdenticalToTheDefault) {
   EXPECT_EQ(base.stream_hash, spelled.stream_hash);
   EXPECT_EQ(base.stream_hash, patterned.stream_hash);
   EXPECT_EQ(base.generated, patterned.generated);
-  EXPECT_EQ(base.events_executed, patterned.events_executed);
+  EXPECT_EQ(base.stats, patterned.stats);
 }
 
 TEST(TrafficDefault, TrialSeedsIgnoreTheDefaultSpecOnly) {
@@ -592,7 +592,7 @@ void expect_identical(const harness::ScenarioResult& a,
   EXPECT_EQ(a.overhead_kbps, b.overhead_kbps);
   EXPECT_EQ(a.delay_p95_ms, b.delay_p95_ms);
   EXPECT_EQ(a.jain_fairness, b.jain_fairness);
-  EXPECT_EQ(a.events_executed, b.events_executed);
+  EXPECT_EQ(a.stats, b.stats);
 }
 
 TEST(TrafficSweep, TrafficAxisBitIdenticalToSerial) {

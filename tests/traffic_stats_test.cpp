@@ -2,7 +2,9 @@
 // aggregation (delay/delivery/overhead math, 4-second throughput series).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "net/network.hpp"
 #include "routing/aodv/aodv.hpp"
@@ -160,6 +162,26 @@ TEST(Metrics, NamedCounters) {
   m.inc("x", 4);
   EXPECT_EQ(m.counter("x"), 5u);
   EXPECT_EQ(m.counter("y"), 0u);
+}
+
+TEST(Metrics, NamedCountBeforeWarmupResetIsAbsent) {
+  // run_scenario copies the registry snapshot into MetricsSummary::stats.
+  // A registered statistic spans the whole run; named counts belong to the
+  // measurement window, so one counted only before the reset is absent.
+  stats::MetricsCollector m;
+  m.registry().counter_fn("kernel.stat", [] { return 7.0; });
+  m.inc("before");
+  m.inc("both");
+  m.reset_epoch(sim::seconds(2));
+  m.inc("both", 2);
+  std::map<std::string, obs::Sample> stats;
+  obs::fold_samples(stats, m.registry().snapshot());
+  EXPECT_EQ(stats.count("before"), 0u);
+  EXPECT_EQ(m.counter("before"), 0u);
+  ASSERT_EQ(stats.count("both"), 1u);
+  EXPECT_EQ(stats.at("both").kind, obs::StatKind::kCounter);
+  EXPECT_EQ(stats.at("both").value, 2.0);
+  EXPECT_EQ(stats.at("kernel.stat").value, 7.0);
 }
 
 TEST(ThroughputSeries, BucketsBits) {

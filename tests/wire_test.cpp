@@ -2,7 +2,7 @@
 // message type, decoder rejection of malformed frames (truncation at every
 // prefix, bad type tags, trailing bytes, out-of-range node ids, bad CSI
 // classes, inconsistent LSU counts), and the layout-invariant cross-checks
-// the lookahead floor leans on.
+// airtime accounting leans on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -337,14 +337,13 @@ TEST(WireInvariants, StartupCheckPasses) {
   EXPECT_NO_THROW(wire::check_wire_invariants());
 }
 
-TEST(WireInvariants, LookaheadFloorIsTheSmallestEncodableFrame) {
-  // The sharded kernel's conservative window is derived from
-  // wire::kMinControlBytes; it must equal the smallest frame the codecs
-  // can actually emit (the ABR beacon).
+TEST(WireInvariants, AbrBeaconEncodesToNineBytes) {
+  // The smallest frame on the air: a 5-byte control header plus the u32
+  // origin, and make_control stamps exactly what the encoder emits.
+  const auto pkt = make_control(kBroadcastId, AbrBeaconMsg{});
   std::vector<std::uint8_t> buf;
-  const std::size_t n =
-      wire::encode_control(make_control(kBroadcastId, AbrBeaconMsg{}), buf);
-  EXPECT_EQ(n, wire::kMinControlBytes);
+  EXPECT_EQ(wire::encode_control(pkt, buf), 9u);
+  EXPECT_EQ(pkt.size_bytes, 9u);
 }
 
 }  // namespace
