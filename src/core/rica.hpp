@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "routing/discovery.hpp"
 #include "routing/protocol.hpp"
 #include "routing/tables.hpp"
 #include "sim/timer.hpp"
@@ -44,12 +45,8 @@ struct RicaConfig {
   sim::Time route_expiry = sim::seconds(1);
   sim::Time detect_window = sim::milliseconds(100);
   sim::Time flow_active_timeout = sim::seconds(3);
-  sim::Time discovery_timeout = sim::milliseconds(200);
-  int max_discovery_attempts = 3;
   std::int16_t rreq_ttl = 16;
   std::int16_t check_ttl_slack = 2;
-  std::size_t pending_cap = 10;
-  sim::Time pending_residency = sim::seconds(3);
   /// Forwarding of RREQ/CSI-check floods is deferred proportionally to the
   /// CSI hop distance of the incoming link (plus a small random dither), so
   /// the first copy to arrive anywhere travelled an approximately
@@ -96,12 +93,8 @@ class RicaProtocol final : public routing::Protocol {
       net::FlowKey flow) const;
 
  private:
-  /// One CSI-check (or RREQ) derived route candidate at the source.
-  struct Candidate {
-    net::NodeId first_hop = 0;
-    double csi_hops = 0.0;
-    std::uint16_t topo_hops = 0;
-  };
+  /// One CSI-check (or RREQ) derived route candidate.
+  using Candidate = routing::CsiCandidate;
   struct SourceState {
     bool valid = false;
     net::NodeId next_hop = 0;
@@ -109,21 +102,11 @@ class RicaProtocol final : public routing::Protocol {
                                     ///< refreshed by the checking rounds
     sim::Time update_flag_until{};  ///< tag data packets with the route
                                     ///< update flag until this time (§II-C)
-    // discovery
-    bool discovering = false;
-    std::uint32_t bid = 0;
-    int attempts = 0;
-    sim::Timer discovery_timer;  ///< retry deadline; cancelled on success
-    routing::PendingBuffer pending;
-    // CSI-check collection
-    bool window_open = false;
-    std::uint32_t window_bid = 0;
-    std::vector<Candidate> window_candidates;
-    std::vector<Candidate> last_candidates;  ///< last closed window
+    routing::Discovery discovery;
+    routing::CandidateWindow<Candidate> checks;  ///< CSI-check collection
+    std::vector<Candidate> last_candidates;      ///< last closed window
     sim::Time last_window_close{};
     sim::Time last_check_seen{};
-    explicit SourceState(const RicaConfig& cfg)
-        : pending(cfg.pending_cap, cfg.pending_residency) {}
   };
   struct RelayState {
     bool valid = false;
@@ -145,12 +128,9 @@ class RicaProtocol final : public routing::Protocol {
     /// idles past flow_active_timeout.
     sim::Timer check_timer;
     std::uint32_t next_check_bid = 1;
-    sim::Time last_data{};
     std::uint16_t route_hops = 4;  ///< TTL basis, refreshed by delivered data
-    // RREQ collection window
-    bool window_open = false;
-    std::uint32_t window_bid = 0;
-    std::vector<Candidate> window_candidates;
+    sim::Time last_data{};
+    routing::CandidateWindow<Candidate> rreqs;  ///< RREQ collection window
     // adaptive checking (extension): track route volatility between checks
     sim::Time check_period{};
     net::NodeId last_hop_seen = net::kBroadcastId;
@@ -160,8 +140,8 @@ class RicaProtocol final : public routing::Protocol {
 
   // -- source side -----------------------------------------------------------
   void source_send(SourceState& s, net::FlowKey flow, net::DataPacket pkt);
-  void begin_discovery(net::FlowKey flow);
-  void send_rreq(net::FlowKey flow);
+  void begin_discovery(net::FlowKey flow, SourceState& s);
+  std::uint32_t send_rreq(net::FlowKey flow);
   void switch_route(net::FlowKey flow, SourceState& s,
                     const Candidate& chosen);
   void close_source_window(net::FlowKey flow);
@@ -181,8 +161,6 @@ class RicaProtocol final : public routing::Protocol {
   void on_rupd(const net::RupdMsg& msg, net::NodeId from);
   void on_reer(const net::ReerMsg& msg, net::NodeId from);
 
-  [[nodiscard]] sim::Time now() const;
-  SourceState& source_state(net::FlowKey flow);
   [[nodiscard]] bool relay_entry_live(const RelayState& r) const;
   /// CSI-proportional flood-forwarding delay for the link class `cls`.
   [[nodiscard]] sim::Time forward_jitter(channel::CsiClass cls);

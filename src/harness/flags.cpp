@@ -23,11 +23,9 @@ Flags::Flags(int argc, const char* const* argv) {
       continue;
     }
     // "--flag value" or a bare boolean "--flag".
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
-    } else {
-      values_[arg] = "1";
-    }
+    const bool has_value =
+        i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
+    values_[arg] = has_value ? argv[++i] : "1";
   }
 }
 

@@ -9,9 +9,9 @@ namespace {
 constexpr std::uint8_t kTagBq = 1;
 constexpr std::uint8_t kTagLq = 2;
 
-constexpr std::uint64_t bid_key(net::NodeId origin, std::uint32_t bid) {
-  return (static_cast<std::uint64_t>(origin) << 32) | bid;
-}
+/// How long the source waits for a BQ reply before it re-floods; the other
+/// on-demand protocols wait Discovery::kWait.
+constexpr sim::Time kBqWait = sim::milliseconds(300);
 
 /// The destination's route-selection order (§III: stability first, then
 /// load, then length).
@@ -27,14 +27,8 @@ bool better_candidate(std::uint32_t a_ticks, std::uint32_t a_load,
 AbrProtocol::AbrProtocol(ProtocolHost& host, const AbrConfig& cfg)
     : Protocol(host), cfg_(cfg) {}
 
-sim::Time AbrProtocol::now() const {
-  return const_cast<AbrProtocol*>(this)->host().simulator().now();
-}
-
-AbrProtocol::SourceState& AbrProtocol::source_state(net::FlowKey flow) {
-  auto it = sources_.find(flow);
-  if (it == sources_.end()) it = sources_.emplace(flow, SourceState{cfg_}).first;
-  return it->second;
+Discovery& AbrProtocol::source_state(net::FlowKey flow) {
+  return sources_.try_emplace(flow, kBqWait).first->second;
 }
 
 std::uint32_t AbrProtocol::ticks(net::NodeId neighbor) const {
@@ -92,24 +86,21 @@ void AbrProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
   auto& e = entries_[flow];
   if (from == host().id()) {  // source
     if (e.repairing) {
-      buffer_for_repair(std::move(pkt));
+      repair_pending_[flow].hold(host(), std::move(pkt));
       return;
     }
     if (e.valid) {
       host().forward_data(std::move(pkt), e.downstream);
       return;
     }
-    auto& s = source_state(flow);
-    if (!s.pending.push(std::move(pkt), now())) {
-      host().count("abr.pending_overflow");
-    }
-    if (!s.discovering) begin_discovery(flow);
+    source_state(flow).hold(host(), std::move(pkt));
+    begin_discovery(flow);
     return;
   }
 
   e.upstream = from;
   if (e.repairing) {
-    buffer_for_repair(std::move(pkt));
+    repair_pending_[flow].hold(host(), std::move(pkt));
     return;
   }
   if (!e.valid) {
@@ -119,71 +110,24 @@ void AbrProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
   host().forward_data(std::move(pkt), e.downstream);
 }
 
-void AbrProtocol::buffer_for_repair(net::DataPacket pkt) {
-  auto it = repair_pending_.find(pkt.key());
-  if (it == repair_pending_.end()) {
-    it = repair_pending_
-             .emplace(pkt.key(),
-                      PendingBuffer{cfg_.pending_cap, cfg_.pending_residency})
-             .first;
-  }
-  if (it->second.size() >= it->second.capacity()) {
-    host().drop_data(pkt, stats::DropReason::kBufferOverflow);
-    return;
-  }
-  it->second.push(std::move(pkt), now());
-}
-
 // ---------------------------------------------------------------------------
 // Discovery: BQ flood + stability-based selection
 // ---------------------------------------------------------------------------
 
 void AbrProtocol::begin_discovery(net::FlowKey flow) {
-  auto& s = source_state(flow);
-  s.discovering = true;
-  s.attempts = 1;
-  host().count("abr.discovery");
-  host().trace_route("discovery_start", net::flow_src(flow),
-                     net::flow_dst(flow));
-  send_bq(flow);
+  source_state(flow).start(host(), "abr.discovery", net::flow_dst(flow),
+                           [this, flow] { return send_bq(flow); });
 }
 
-void AbrProtocol::send_bq(net::FlowKey flow) {
-  auto& s = source_state(flow);
+std::uint32_t AbrProtocol::send_bq(net::FlowKey flow) {
   const std::uint32_t bid = next_bid_++;
-  s.bid = bid;
   history_.seen_or_insert(host().id(), bid, kTagBq);
   net::AbrBqMsg msg;
   msg.src = net::flow_src(flow);
   msg.dst = net::flow_dst(flow);
   msg.bid = bid;
   host().send_control(net::make_control(net::kBroadcastId, msg));
-
-  s.discovery_timer.arm_after(
-      host().simulator(), cfg_.discovery_timeout, [this, flow, bid] {
-    auto& st = source_state(flow);
-    if (!st.discovering || st.bid != bid) return;
-    st.pending.purge_expired(now(), [this](const net::DataPacket& p) {
-      host().drop_data(p, stats::DropReason::kExpired);
-    });
-    if (st.pending.empty()) {
-      st.discovering = false;
-      return;
-    }
-    if (st.attempts >= cfg_.max_discovery_attempts) {
-      for (const auto& p : st.pending.take_fresh(now(), nullptr)) {
-        host().drop_data(p, stats::DropReason::kNoRoute);
-      }
-      st.discovering = false;
-      host().trace_route("discovery_failed", net::flow_src(flow),
-                         net::flow_dst(flow), bid);
-      return;
-    }
-    ++st.attempts;
-    host().trace_route("discovery_retry", net::flow_src(flow),
-                       net::flow_dst(flow), bid);
-    send_bq(flow);
-  });
+  return bid;
 }
 
 void AbrProtocol::on_bq(const net::AbrBqMsg& msg, net::NodeId from) {
@@ -198,15 +142,11 @@ void AbrProtocol::on_bq(const net::AbrBqMsg& msg, net::NodeId from) {
     // The destination compares every arriving copy (one per last hop);
     // duplicate suppression only applies to relay forwarding.
     const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
-    auto& d = dests_[flow];
-    if (!d.window_open || d.window_bid != msg.bid) {
-      d.window_open = true;
-      d.window_bid = msg.bid;
-      d.window_candidates.clear();
+    if (dests_[flow].add(msg.bid,
+                         Candidate{from, tick_sum, load_sum, topo})) {
       host().simulator().after(cfg_.dest_wait,
                                [this, flow] { close_dest_window(flow); });
     }
-    d.window_candidates.push_back(Candidate{from, tick_sum, load_sum, topo});
     return;
   }
   if (history_.seen_or_insert(msg.src, msg.bid, kTagBq)) return;
@@ -221,19 +161,14 @@ void AbrProtocol::on_bq(const net::AbrBqMsg& msg, net::NodeId from) {
 
 void AbrProtocol::close_dest_window(net::FlowKey flow) {
   auto& d = dests_[flow];
-  if (!d.window_open) return;
-  d.window_open = false;
-  if (d.window_candidates.empty()) return;
-  const auto best = std::min_element(
-      d.window_candidates.begin(), d.window_candidates.end(),
-      [](const Candidate& a, const Candidate& b) {
-        return better_candidate(a.tick_sum, a.load_sum, a.topo_hops,
-                                b.tick_sum, b.load_sum, b.topo_hops);
-      });
+  const Candidate* best = d.close([](const Candidate& a, const Candidate& b) {
+    return better_candidate(a.tick_sum, a.load_sum, a.topo_hops, b.tick_sum,
+                            b.load_sum, b.topo_hops);
+  });
+  if (best == nullptr) return;
   host().send_control(net::make_control(
       best->first_hop, net::AbrReplyMsg{net::flow_src(flow),
-                                        net::flow_dst(flow), d.window_bid, 0}));
-  d.window_candidates.clear();
+                                        net::flow_dst(flow), d.bid(), 0}));
 }
 
 void AbrProtocol::on_reply(const net::AbrReplyMsg& msg, net::NodeId from) {
@@ -246,14 +181,10 @@ void AbrProtocol::on_reply(const net::AbrReplyMsg& msg, net::NodeId from) {
 
   if (msg.src == host().id()) {
     auto& s = source_state(flow);
-    s.discovering = false;
-    s.discovery_timer.cancel();
+    s.succeed();
     host().trace_route("established", msg.src, msg.dst, msg.bid,
                        static_cast<double>(msg.topo_hops + 1));
-    const auto expired = [this](const net::DataPacket& p) {
-      host().drop_data(p, stats::DropReason::kExpired);
-    };
-    for (auto& p : s.pending.take_fresh(now(), expired)) {
+    for (auto& p : s.release(host())) {
       host().forward_data(std::move(p), e.downstream);
     }
     flush_repair(flow);
@@ -378,8 +309,7 @@ void AbrProtocol::finish_local_query(net::FlowKey flow, std::uint32_t bid) {
 void AbrProtocol::backtrack(net::FlowKey flow, Entry& e) {
   if (net::flow_src(flow) == host().id()) {
     // Backtracked all the way: full rediscovery, keep the held packets.
-    auto& s = source_state(flow);
-    if (!s.discovering) begin_discovery(flow);
+    begin_discovery(flow);
     return;
   }
   host().count("abr.rn");
@@ -390,7 +320,7 @@ void AbrProtocol::backtrack(net::FlowKey flow, Entry& e) {
   }
   // Packets held here cannot be salvaged once we give up the repair.
   if (auto it = repair_pending_.find(flow); it != repair_pending_.end()) {
-    for (const auto& p : it->second.take_fresh(now(), nullptr)) {
+    for (const auto& p : it->second.release(host())) {
       host().drop_data(p, stats::DropReason::kLinkBreak);
     }
   }
@@ -411,10 +341,7 @@ void AbrProtocol::flush_repair(net::FlowKey flow) {
   auto& e = entries_[flow];
   if (!e.valid) return;
   if (auto it = repair_pending_.find(flow); it != repair_pending_.end()) {
-    const auto expired = [this](const net::DataPacket& p) {
-      host().drop_data(p, stats::DropReason::kExpired);
-    };
-    for (auto& p : it->second.take_fresh(now(), expired)) {
+    for (auto& p : it->second.release(host())) {
       host().forward_data(std::move(p), e.downstream);
     }
   }
@@ -444,8 +371,7 @@ void AbrProtocol::on_link_break(net::NodeId neighbor,
     if (net::flow_src(flow) == host().id() && e.hops_to_dst <= 1) {
       // Next hop was the destination itself: just rediscover.
       e.valid = false;
-      auto& s = source_state(flow);
-      if (!s.discovering) begin_discovery(flow);
+      begin_discovery(flow);
       continue;
     }
     start_local_query(flow);
@@ -453,7 +379,7 @@ void AbrProtocol::on_link_break(net::NodeId neighbor,
   for (auto& p : stranded) {
     auto& e = entries_[p.key()];
     if (e.repairing) {
-      buffer_for_repair(std::move(p));
+      repair_pending_[p.key()].hold(host(), std::move(p));
     } else {
       host().drop_data(p, stats::DropReason::kLinkBreak);
     }

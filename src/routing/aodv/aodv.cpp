@@ -7,30 +7,16 @@ namespace rica::routing {
 
 namespace {
 constexpr std::uint8_t kTagRreq = 1;
-
-constexpr std::uint64_t rreq_key(net::NodeId src, std::uint32_t bid) {
-  return (static_cast<std::uint64_t>(src) << 32) | bid;
-}
 }  // namespace
 
 AodvProtocol::AodvProtocol(ProtocolHost& host, const AodvConfig& cfg)
     : Protocol(host), cfg_(cfg) {}
-
-sim::Time AodvProtocol::now() const {
-  // ProtocolHost::simulator() is non-const; reading the clock is logically
-  // const.
-  return const_cast<AodvProtocol*>(this)->host().simulator().now();
-}
 
 std::optional<net::NodeId> AodvProtocol::next_hop(net::NodeId dst) const {
   const auto it = routes_.find(dst);
   if (it == routes_.end() || !it->second.valid) return std::nullopt;
   if (now() - it->second.last_used > cfg_.route_expiry) return std::nullopt;
   return it->second.next;
-}
-
-void AodvProtocol::drop_pkt(const net::DataPacket& pkt, stats::DropReason r) {
-  host().drop_data(pkt, r);
 }
 
 void AodvProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
@@ -50,61 +36,24 @@ void AodvProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
     // Transit node without a route: the entry was invalidated while the
     // packet was in flight (paper: packets on a broken route are discarded).
     // Tell the upstream so the source learns and re-discovers.
-    drop_pkt(pkt, stats::DropReason::kNoRoute);
+    host().drop_data(pkt, stats::DropReason::kNoRoute);
     host().send_control(net::make_control(
         from, net::AodvRerrMsg{pkt.src, pkt.dst, host().id()}));
     return;
   }
   const net::NodeId dst = pkt.dst;
-  auto [it, inserted] = discovery_.try_emplace(dst, cfg_);
-  if (!it->second.pending.push(std::move(pkt), host().simulator().now())) {
-    drop_pkt(pkt, stats::DropReason::kBufferOverflow);
-  }
-  if (!it->second.in_progress) begin_discovery(dst);
+  auto& d = discovery_[dst];
+  d.hold(host(), std::move(pkt));
+  d.start(host(), "aodv.discovery", dst,
+          [this, dst] { return send_rreq(dst); });
 }
 
-void AodvProtocol::begin_discovery(net::NodeId dst) {
-  auto& d = discovery_.at(dst);
-  d.in_progress = true;
-  d.attempts = 1;
-  host().count("aodv.discovery");
-  host().trace_route("discovery_start", host().id(), dst);
-  send_rreq(dst);
-}
-
-void AodvProtocol::send_rreq(net::NodeId dst) {
-  auto& d = discovery_.at(dst);
+std::uint32_t AodvProtocol::send_rreq(net::NodeId dst) {
   const std::uint32_t bid = next_bid_++;
-  d.bid = bid;
   history_.seen_or_insert(host().id(), bid, kTagRreq);  // ignore echoes
   host().send_control(net::make_control(
       net::kBroadcastId, net::AodvRreqMsg{host().id(), dst, bid, 0}));
-
-  d.timeout.arm_after(
-      host().simulator(), cfg_.discovery_timeout, [this, dst, bid] {
-    auto it = discovery_.find(dst);
-    if (it == discovery_.end()) return;
-    auto& disc = it->second;
-    if (!disc.in_progress || disc.bid != bid) return;  // answered already
-    disc.pending.purge_expired(host().simulator().now(),
-                               [this](const net::DataPacket& p) {
-                                 drop_pkt(p, stats::DropReason::kExpired);
-                               });
-    if (disc.pending.empty()) {
-      disc.in_progress = false;
-      return;
-    }
-    if (disc.attempts >= cfg_.max_discovery_attempts) {
-      auto fresh = disc.pending.take_fresh(host().simulator().now(), nullptr);
-      for (const auto& p : fresh) drop_pkt(p, stats::DropReason::kNoRoute);
-      disc.in_progress = false;
-      host().trace_route("discovery_failed", host().id(), dst, bid);
-      return;
-    }
-    ++disc.attempts;
-    host().trace_route("discovery_retry", host().id(), dst, bid);
-    send_rreq(dst);
-  });
+  return bid;
 }
 
 void AodvProtocol::on_control(const net::ControlPacket& pkt,
@@ -121,7 +70,7 @@ void AodvProtocol::on_control(const net::ControlPacket& pkt,
 void AodvProtocol::on_rreq(const net::AodvRreqMsg& msg, net::NodeId from) {
   if (msg.src == host().id()) return;  // our own flood echoed back
   if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq)) return;
-  reverse_[rreq_key(msg.src, msg.bid)] =
+  reverse_[bid_key(msg.src, msg.bid)] =
       ReversePath{from, static_cast<std::uint16_t>(msg.hops + 1)};
 
   if (msg.dst == host().id()) {
@@ -154,7 +103,7 @@ void AodvProtocol::on_rrep(const net::AodvRrepMsg& msg, net::NodeId from) {
     flush_pending(msg.dst);
     return;
   }
-  const auto it = reverse_.find(rreq_key(msg.src, msg.bid));
+  const auto it = reverse_.find(bid_key(msg.src, msg.bid));
   if (it == reverse_.end()) return;  // reverse path evaporated
   net::AodvRrepMsg fwd = msg;
   fwd.hops = static_cast<std::uint16_t>(msg.hops + 1);
@@ -181,18 +130,13 @@ void AodvProtocol::flush_pending(net::NodeId dst) {
   const auto it = discovery_.find(dst);
   if (it == discovery_.end()) return;
   auto& d = it->second;
-  d.in_progress = false;
-  d.timeout.cancel();
+  d.succeed();
   const auto nh = next_hop(dst);
-  auto fresh = d.pending.take_fresh(host().simulator().now(),
-                                    [this](const net::DataPacket& p) {
-                                      drop_pkt(p, stats::DropReason::kExpired);
-                                    });
-  for (auto& p : fresh) {
+  for (auto& p : d.release(host())) {
     if (nh) {
       host().forward_data(std::move(p), *nh);
     } else {
-      drop_pkt(p, stats::DropReason::kNoRoute);
+      host().drop_data(p, stats::DropReason::kNoRoute);
     }
   }
 }
@@ -211,7 +155,9 @@ void AodvProtocol::on_link_break(net::NodeId neighbor,
   host().count("aodv.link_break");
   host().trace_route("link_break", host().id(), neighbor);
   // Paper: "packets in the original broken route usually is discarded".
-  for (const auto& p : stranded) drop_pkt(p, stats::DropReason::kLinkBreak);
+  for (const auto& p : stranded) {
+    host().drop_data(p, stats::DropReason::kLinkBreak);
+  }
   for (auto& [dst, route] : routes_) {
     if (!route.valid || route.next != neighbor) continue;
     route.valid = false;

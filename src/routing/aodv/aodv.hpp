@@ -12,19 +12,15 @@
 
 #include <cstdint>
 
+#include "routing/discovery.hpp"
 #include "routing/protocol.hpp"
 #include "routing/tables.hpp"
-#include "sim/timer.hpp"
 #include "util/flat_table.hpp"
 
 namespace rica::routing {
 
 /// Tunables for the AODV comparator.
 struct AodvConfig {
-  sim::Time discovery_timeout = sim::milliseconds(200);  ///< RREP wait
-  int max_discovery_attempts = 3;      ///< per packet burst before giving up
-  std::size_t pending_cap = 10;        ///< source-side packets awaiting route
-  sim::Time pending_residency = sim::seconds(3);
   std::int16_t rreq_ttl = 16;          ///< flood scope (network diameter)
   sim::Time route_expiry = sim::seconds(3);  ///< active-route timeout
   /// Random broadcast-forwarding jitter (standard in AODV implementations
@@ -60,24 +56,12 @@ class AodvProtocol final : public Protocol {
     net::NodeId upstream = 0;
     std::uint16_t hops_from_src = 0;
   };
-  struct Discovery {
-    bool in_progress = false;
-    std::uint32_t bid = 0;
-    int attempts = 0;
-    sim::Timer timeout;  ///< RREP wait deadline; cancelled when a reply lands
-    PendingBuffer pending;
-    explicit Discovery(const AodvConfig& cfg)
-        : pending(cfg.pending_cap, cfg.pending_residency) {}
-  };
 
-  [[nodiscard]] sim::Time now() const;
-  void begin_discovery(net::NodeId dst);
-  void send_rreq(net::NodeId dst);
+  std::uint32_t send_rreq(net::NodeId dst);
   void on_rreq(const net::AodvRreqMsg& msg, net::NodeId from);
   void on_rrep(const net::AodvRrepMsg& msg, net::NodeId from);
   void on_rerr(const net::AodvRerrMsg& msg, net::NodeId from);
   void flush_pending(net::NodeId dst);
-  void drop_pkt(const net::DataPacket& pkt, stats::DropReason r);
 
   AodvConfig cfg_;
   HistoryTable history_;

@@ -8,30 +8,16 @@ namespace rica::routing {
 namespace {
 constexpr std::uint8_t kTagRreq = 1;
 constexpr std::uint8_t kTagLq = 2;
-
-constexpr std::uint64_t bid_key(net::NodeId origin, std::uint32_t bid) {
-  return (static_cast<std::uint64_t>(origin) << 32) | bid;
-}
 }  // namespace
 
 BgcaProtocol::BgcaProtocol(ProtocolHost& host, const BgcaConfig& cfg)
     : Protocol(host), cfg_(cfg) {}
-
-sim::Time BgcaProtocol::now() const {
-  return const_cast<BgcaProtocol*>(this)->host().simulator().now();
-}
 
 sim::Time BgcaProtocol::forward_jitter(channel::CsiClass cls) {
   const double excess = channel::csi_hop_distance(cls) - 1.0;
   const double dither = host().protocol_rng().uniform(0.0, 0.5e6);
   return sim::Time{static_cast<std::int64_t>(
              excess * static_cast<double>(cfg_.csi_jitter.nanos()) + dither)};
-}
-
-BgcaProtocol::SourceState& BgcaProtocol::source_state(net::FlowKey flow) {
-  auto it = sources_.find(flow);
-  if (it == sources_.end()) it = sources_.emplace(flow, SourceState{cfg_}).first;
-  return it->second;
 }
 
 std::optional<net::NodeId> BgcaProtocol::downstream(net::FlowKey flow) const {
@@ -66,11 +52,8 @@ void BgcaProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
       forward_or_drop(std::move(pkt), e);
       return;
     }
-    auto& s = source_state(flow);
-    if (!s.pending.push(std::move(pkt), now())) {
-      host().count("bgca.pending_overflow");
-    }
-    if (!s.discovering) begin_discovery(flow);
+    sources_[flow].hold(host(), std::move(pkt));
+    begin_discovery(flow);
     return;
   }
 
@@ -82,18 +65,7 @@ void BgcaProtocol::forward_or_drop(net::DataPacket pkt, Entry& e) {
   if (e.repairing) {
     // Hold arriving traffic while the local query runs; the paper's local
     // repair is exactly what builds queues at the repairing terminal.
-    auto it = repair_pending_.find(pkt.key());
-    if (it == repair_pending_.end()) {
-      it = repair_pending_
-               .emplace(pkt.key(),
-                        PendingBuffer{cfg_.pending_cap, cfg_.pending_residency})
-               .first;
-    }
-    if (it->second.size() >= it->second.capacity()) {
-      host().drop_data(pkt, stats::DropReason::kBufferOverflow);
-      return;
-    }
-    it->second.push(std::move(pkt), now());
+    repair_pending_[pkt.key()].hold(host(), std::move(pkt));
     return;
   }
   if (!e.valid) {
@@ -108,49 +80,17 @@ void BgcaProtocol::forward_or_drop(net::DataPacket pkt, Entry& e) {
 // ---------------------------------------------------------------------------
 
 void BgcaProtocol::begin_discovery(net::FlowKey flow) {
-  auto& s = source_state(flow);
-  s.discovering = true;
-  s.attempts = 1;
-  host().count("bgca.discovery");
-  host().trace_route("discovery_start", net::flow_src(flow),
-                     net::flow_dst(flow));
-  send_rreq(flow);
+  sources_[flow].start(host(), "bgca.discovery", net::flow_dst(flow),
+                       [this, flow] { return send_rreq(flow); });
 }
 
-void BgcaProtocol::send_rreq(net::FlowKey flow) {
-  auto& s = source_state(flow);
+std::uint32_t BgcaProtocol::send_rreq(net::FlowKey flow) {
   const std::uint32_t bid = next_bid_++;
-  s.bid = bid;
   history_.seen_or_insert(host().id(), bid, kTagRreq);
   host().send_control(net::make_control(
       net::kBroadcastId,
       net::RreqMsg{net::flow_src(flow), net::flow_dst(flow), bid, 0.0, 0}));
-
-  s.discovery_timer.arm_after(
-      host().simulator(), cfg_.discovery_timeout, [this, flow, bid] {
-    auto& st = source_state(flow);
-    if (!st.discovering || st.bid != bid) return;
-    st.pending.purge_expired(now(), [this](const net::DataPacket& p) {
-      host().drop_data(p, stats::DropReason::kExpired);
-    });
-    if (st.pending.empty()) {
-      st.discovering = false;
-      return;
-    }
-    if (st.attempts >= cfg_.max_discovery_attempts) {
-      for (const auto& p : st.pending.take_fresh(now(), nullptr)) {
-        host().drop_data(p, stats::DropReason::kNoRoute);
-      }
-      st.discovering = false;
-      host().trace_route("discovery_failed", net::flow_src(flow),
-                         net::flow_dst(flow), bid);
-      return;
-    }
-    ++st.attempts;
-    host().trace_route("discovery_retry", net::flow_src(flow),
-                       net::flow_dst(flow), bid);
-    send_rreq(flow);
-  });
+  return bid;
 }
 
 void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
@@ -168,15 +108,10 @@ void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
     // Every arriving copy is a route candidate (duplicate suppression only
     // governs relay forwarding), mirroring RICA's discovery.
     const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
-    auto& d = dests_[flow];
-    if (!d.window_open || d.window_bid != msg.bid) {
-      d.window_open = true;
-      d.window_bid = msg.bid;
-      d.window_candidates.clear();
+    if (dests_[flow].add(msg.bid, Candidate{from, csi_hops, topo})) {
       host().simulator().after(cfg_.dest_wait,
                                [this, flow] { close_dest_window(flow); });
     }
-    d.window_candidates.push_back(Candidate{from, csi_hops, topo});
     return;
   }
   history_.seen_or_insert(msg.src, msg.bid, kTagRreq);
@@ -192,19 +127,12 @@ void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
 
 void BgcaProtocol::close_dest_window(net::FlowKey flow) {
   auto& d = dests_[flow];
-  if (!d.window_open) return;
-  d.window_open = false;
-  if (d.window_candidates.empty()) return;
-  const auto best = std::min_element(
-      d.window_candidates.begin(), d.window_candidates.end(),
-      [](const Candidate& a, const Candidate& b) {
-        return a.csi_hops < b.csi_hops;
-      });
+  const Candidate* best = d.close(Candidate::shorter);
+  if (best == nullptr) return;
   host().send_control(net::make_control(
       best->first_hop,
-      net::RrepMsg{net::flow_src(flow), net::flow_dst(flow), d.window_bid,
+      net::RrepMsg{net::flow_src(flow), net::flow_dst(flow), d.bid(),
                    best->csi_hops, 0}));
-  d.window_candidates.clear();
 }
 
 void BgcaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
@@ -216,9 +144,7 @@ void BgcaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
   e.repairing = false;
 
   if (msg.src == host().id()) {
-    auto& s = source_state(flow);
-    s.discovering = false;
-    s.discovery_timer.cancel();
+    sources_[flow].succeed();
     host().trace_route("established", msg.src, msg.dst, msg.bid,
                        msg.csi_hops);
     flush_pending(flow);
@@ -235,17 +161,11 @@ void BgcaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
 void BgcaProtocol::flush_pending(net::FlowKey flow) {
   auto& e = entries_[flow];
   if (!e.valid) return;
-  const auto expired = [this](const net::DataPacket& p) {
-    host().drop_data(p, stats::DropReason::kExpired);
-  };
-  if (auto it = sources_.find(flow); it != sources_.end()) {
-    for (auto& p : it->second.pending.take_fresh(now(), expired)) {
-      host().forward_data(std::move(p), e.downstream);
-    }
-  }
-  if (auto it = repair_pending_.find(flow); it != repair_pending_.end()) {
-    for (auto& p : it->second.take_fresh(now(), expired)) {
-      host().forward_data(std::move(p), e.downstream);
+  for (auto* held : {&sources_, &repair_pending_}) {
+    if (auto it = held->find(flow); it != held->end()) {
+      for (auto& p : it->second.release(host())) {
+        host().forward_data(std::move(p), e.downstream);
+      }
     }
   }
 }
@@ -376,10 +296,7 @@ void BgcaProtocol::finish_local_query(net::FlowKey flow, std::uint32_t bid) {
   if (e.lq_bid != bid) return;
   if (!e.lq_candidates.empty()) {
     const auto best = std::min_element(
-        e.lq_candidates.begin(), e.lq_candidates.end(),
-        [](const Candidate& a, const Candidate& b) {
-          return a.csi_hops < b.csi_hops;
-        });
+        e.lq_candidates.begin(), e.lq_candidates.end(), Candidate::shorter);
     e.valid = true;
     e.downstream = best->first_hop;
     e.hops_to_dst = static_cast<std::uint16_t>(best->topo_hops + 1);
@@ -404,8 +321,7 @@ void BgcaProtocol::finish_local_query(net::FlowKey flow, std::uint32_t bid) {
 
 void BgcaProtocol::escalate_to_source(net::FlowKey flow, Entry& e) {
   if (net::flow_src(flow) == host().id()) {
-    auto& s = source_state(flow);
-    if (!s.discovering) begin_discovery(flow);
+    begin_discovery(flow);
     return;
   }
   if (e.upstream != host().id()) {
@@ -415,7 +331,7 @@ void BgcaProtocol::escalate_to_source(net::FlowKey flow, Entry& e) {
   }
   // Whatever was held for repair dies with the failed route.
   if (auto it = repair_pending_.find(flow); it != repair_pending_.end()) {
-    for (const auto& p : it->second.take_fresh(now(), nullptr)) {
+    for (const auto& p : it->second.release(host())) {
       host().drop_data(p, stats::DropReason::kLinkBreak);
     }
   }
@@ -430,8 +346,7 @@ void BgcaProtocol::on_reer(const net::ReerMsg& msg, net::NodeId from) {
   }
   it->second.valid = false;
   if (msg.src == host().id()) {
-    auto& s = source_state(flow);
-    if (!s.discovering) begin_discovery(flow);
+    begin_discovery(flow);
     return;
   }
   if (it->second.upstream != host().id()) {
@@ -467,18 +382,7 @@ void BgcaProtocol::on_link_break(net::NodeId neighbor,
       host().drop_data(p, stats::DropReason::kLinkBreak);
       continue;
     }
-    auto it = repair_pending_.find(p.key());
-    if (it == repair_pending_.end()) {
-      it = repair_pending_
-               .emplace(p.key(), PendingBuffer{cfg_.pending_cap,
-                                               cfg_.pending_residency})
-               .first;
-    }
-    if (it->second.size() >= it->second.capacity()) {
-      host().drop_data(p, stats::DropReason::kBufferOverflow);
-    } else {
-      it->second.push(std::move(p), now());
-    }
+    repair_pending_[p.key()].hold(host(), std::move(p));
   }
 }
 

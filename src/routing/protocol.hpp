@@ -122,6 +122,8 @@ class Protocol {
  protected:
   ProtocolHost& host() { return host_; }
   [[nodiscard]] const ProtocolHost& host() const { return host_; }
+  /// The current simulation time.
+  [[nodiscard]] sim::Time now() const { return host_.simulator().now(); }
 
  private:
   ProtocolHost& host_;

@@ -1,20 +1,26 @@
 // Shared building blocks for the on-demand protocols: the RREQ/BQ history
 // table (§II-B: "checks whether it has seen this packet before by looking up
 // its history table"), which flood relays consult before they measure the
-// link a copy arrived on, and the pending-packet buffer used while a route
-// is being discovered or repaired.
+// link a copy arrived on, the broadcast key that names one flood, and the
+// pending-packet buffer used while a route is being discovered or repaired.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "routing/protocol.hpp"
 #include "sim/time.hpp"
 #include "util/flat_table.hpp"
 
 namespace rica::routing {
+
+/// One flood, named by its originator and broadcast id: the key of the
+/// reverse-path maps that route a reply back along the flood.
+constexpr std::uint64_t bid_key(net::NodeId origin, std::uint32_t bid) {
+  return (static_cast<std::uint64_t>(origin) << 32) | bid;
+}
 
 /// Records which broadcast packets (keyed by origin and broadcast id) this
 /// terminal has already processed, so floods are forwarded exactly once.
@@ -49,39 +55,39 @@ class HistoryTable {
   // (tag, origin, bid) packs losslessly.
   static constexpr std::uint64_t key(net::NodeId origin, std::uint32_t bid,
                                      std::uint8_t tag) {
-    return ((static_cast<std::uint64_t>(tag) << 24 |
-             static_cast<std::uint64_t>(origin))
-            << 32) |
-           bid;
+    return static_cast<std::uint64_t>(tag) << 56 | bid_key(origin, bid);
   }
 
   util::FlatSet64 seen_;
 };
 
 /// FIFO buffer holding data packets while a route is discovered/repaired.
-/// Enforces a capacity and the paper's 3-second residency bound.
+/// Its overflow and residency policy is the one place such packets leave
+/// without a route: a full buffer drops the arrival as kBufferOverflow, and
+/// a packet older than the residency bound is dropped as kExpired.
 class PendingBuffer {
  public:
   PendingBuffer(std::size_t cap, sim::Time residency)
       : cap_(cap), residency_(residency) {}
 
-  /// Tries to enqueue; returns false (caller drops the packet) when full.
-  bool push(net::DataPacket pkt, sim::Time now) {
-    if (q_.size() >= cap_) return false;
-    q_.push_back(Entry{std::move(pkt), now});
-    return true;
+  /// Enqueues `pkt`, or drops it as kBufferOverflow when the buffer is full.
+  void hold(ProtocolHost& host, net::DataPacket pkt) {
+    if (q_.size() >= cap_) {
+      host.drop_data(pkt, stats::DropReason::kBufferOverflow);
+      return;
+    }
+    q_.push_back(Entry{std::move(pkt), host.simulator().now()});
   }
 
-  /// Removes and returns all packets that are still within the residency
-  /// bound; expired ones are passed to `on_expired`.
-  std::vector<net::DataPacket> take_fresh(
-      sim::Time now,
-      const std::function<void(const net::DataPacket&)>& on_expired) {
+  /// Removes and returns, in FIFO order, all packets still within the
+  /// residency bound; expired ones are dropped as kExpired.
+  std::vector<net::DataPacket> release(ProtocolHost& host) {
+    const sim::Time now = host.simulator().now();
     std::vector<net::DataPacket> fresh;
     fresh.reserve(q_.size());
     for (auto& e : q_) {
       if (now - e.enqueued > residency_) {
-        if (on_expired) on_expired(e.pkt);
+        host.drop_data(e.pkt, stats::DropReason::kExpired);
       } else {
         fresh.push_back(std::move(e.pkt));
       }
@@ -90,19 +96,17 @@ class PendingBuffer {
     return fresh;
   }
 
-  /// Drops entries older than the residency bound (reporting each).
-  void purge_expired(
-      sim::Time now,
-      const std::function<void(const net::DataPacket&)>& on_expired) {
+  /// Drops the entries older than the residency bound as kExpired.
+  void purge_expired(ProtocolHost& host) {
+    const sim::Time now = host.simulator().now();
     while (!q_.empty() && now - q_.front().enqueued > residency_) {
-      if (on_expired) on_expired(q_.front().pkt);
+      host.drop_data(q_.front().pkt, stats::DropReason::kExpired);
       q_.pop_front();
     }
   }
 
   [[nodiscard]] std::size_t size() const { return q_.size(); }
   [[nodiscard]] bool empty() const { return q_.empty(); }
-  [[nodiscard]] std::size_t capacity() const { return cap_; }
 
  private:
   struct Entry {

@@ -65,28 +65,6 @@ TEST_F(RicaSourceTest, FirstPacketsOnFreshRouteCarryUpdateFlag) {
   EXPECT_TRUE(host_.forwarded.front().pkt.route_update);
 }
 
-TEST_F(RicaSourceTest, DiscoveryRetriesThenGivesUp) {
-  RicaConfig cfg;
-  MockHost host(kSrc);
-  RicaProtocol proto(host, cfg);
-  proto.handle_data(make_data(kSrc, kDst), kSrc);
-  host.sim().run_until(sim::seconds(5));
-  EXPECT_EQ(host.sent_count<net::RreqMsg>(),
-            static_cast<std::size_t>(cfg.max_discovery_attempts));
-  // The buffered packet is eventually dropped (expired or no-route).
-  EXPECT_EQ(host.dropped.size(), 1u);
-}
-
-TEST_F(RicaSourceTest, PendingBufferBounded) {
-  RicaConfig cfg;
-  MockHost host(kSrc);
-  RicaProtocol proto(host, cfg);
-  for (std::uint32_t i = 0; i < 2 * cfg.pending_cap; ++i) {
-    proto.handle_data(make_data(kSrc, kDst, i), kSrc);
-  }
-  EXPECT_GE(host.counters["rica.pending_overflow"], cfg.pending_cap);
-}
-
 TEST_F(RicaSourceTest, CsiCheckWindowSelectsBestAndSendsRupd) {
   // Install a route via 5 first, then offer a better candidate via 6.
   proto_.handle_data(make_data(kSrc, kDst), kSrc);

@@ -51,34 +51,46 @@ TEST(HistoryTable, SeenLooksUpWithoutInserting) {
 }
 
 TEST(PendingBuffer, CapacityEnforced) {
+  MockHost host(1);
   PendingBuffer buf(2, sim::seconds(3));
-  EXPECT_TRUE(buf.push(make_data(1, 2, 0), sim::Time::zero()));
-  EXPECT_TRUE(buf.push(make_data(1, 2, 1), sim::Time::zero()));
-  EXPECT_FALSE(buf.push(make_data(1, 2, 2), sim::Time::zero()));
+  for (std::uint32_t seq = 0; seq < 3; ++seq) {
+    buf.hold(host, make_data(1, 2, seq));
+  }
   EXPECT_EQ(buf.size(), 2u);
+  ASSERT_EQ(host.dropped.size(), 1u);
+  EXPECT_EQ(host.dropped[0].first.seq, 2u);
+  EXPECT_EQ(host.dropped[0].second, stats::DropReason::kBufferOverflow);
 }
 
-TEST(PendingBuffer, TakeFreshSeparatesExpired) {
+/// Holds seq 0 at t = 0 and seq 1 at t = 2 s, then advances to t = 4 s, so
+/// only seq 0 is past the 3 s residency bound.
+void hold_old_and_new(MockHost& host, PendingBuffer& buf) {
+  buf.hold(host, make_data(1, 2, 0));
+  host.sim().run_until(sim::seconds(2));
+  buf.hold(host, make_data(1, 2, 1));
+  host.sim().run_until(sim::seconds(4));
+}
+
+TEST(PendingBuffer, ReleaseSeparatesExpired) {
+  MockHost host(1);
   PendingBuffer buf(10, sim::seconds(3));
-  buf.push(make_data(1, 2, 0), sim::Time::zero());
-  buf.push(make_data(1, 2, 1), sim::seconds(2));
-  int expired = 0;
-  const auto fresh = buf.take_fresh(
-      sim::seconds(4), [&expired](const net::DataPacket&) { ++expired; });
-  EXPECT_EQ(expired, 1);
+  hold_old_and_new(host, buf);
+  const auto fresh = buf.release(host);
+  ASSERT_EQ(host.dropped.size(), 1u);
+  EXPECT_EQ(host.dropped[0].first.seq, 0u);
+  EXPECT_EQ(host.dropped[0].second, stats::DropReason::kExpired);
   ASSERT_EQ(fresh.size(), 1u);
   EXPECT_EQ(fresh[0].seq, 1u);
   EXPECT_TRUE(buf.empty());
 }
 
 TEST(PendingBuffer, PurgeExpiredDropsOnlyOldHead) {
+  MockHost host(1);
   PendingBuffer buf(10, sim::seconds(3));
-  buf.push(make_data(1, 2, 0), sim::Time::zero());
-  buf.push(make_data(1, 2, 1), sim::seconds(2));
-  int expired = 0;
-  buf.purge_expired(sim::seconds(4),
-                    [&expired](const net::DataPacket&) { ++expired; });
-  EXPECT_EQ(expired, 1);
+  hold_old_and_new(host, buf);
+  buf.purge_expired(host);
+  ASSERT_EQ(host.dropped.size(), 1u);
+  EXPECT_EQ(host.dropped[0].second, stats::DropReason::kExpired);
   EXPECT_EQ(buf.size(), 1u);
 }
 
