@@ -26,14 +26,6 @@ bool RicaProtocol::relay_entry_live(const RelayState& r) const {
   return r.valid;
 }
 
-sim::Time RicaProtocol::forward_jitter(channel::CsiClass cls) {
-  const double excess = channel::csi_hop_distance(cls) - 1.0;
-  const double dither = host().protocol_rng().uniform(0.0, 0.5e6);  // <=0.5ms
-  return sim::Time{static_cast<std::int64_t>(
-             excess * static_cast<double>(cfg_.csi_jitter.nanos()))} +
-         sim::Time{static_cast<std::int64_t>(dither)};
-}
-
 std::optional<net::NodeId> RicaProtocol::source_next_hop(
     net::NodeId dst) const {
   const auto it = sources_.find(net::flow_key(host().id(), dst));
@@ -194,9 +186,11 @@ void RicaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
   net::RreqMsg fwd = msg;
   fwd.csi_hops = csi_hops;
   fwd.topo_hops = topo;
-  host().simulator().after(forward_jitter(*cls), [this, fwd] {
-    host().send_control(net::make_control(net::kBroadcastId, fwd));
-  });
+  host().simulator().after(
+      routing::csi_flood_jitter(*cls, cfg_.csi_jitter, host().protocol_rng()),
+      [this, fwd] {
+        host().send_control(net::make_control(net::kBroadcastId, fwd));
+      });
 }
 
 void RicaProtocol::close_dest_window(net::FlowKey flow) {
@@ -342,9 +336,11 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
   fwd.topo_hops = topo;
   fwd.ttl = static_cast<std::int16_t>(msg.ttl - 1);
   fwd.received_from = from;
-  host().simulator().after(forward_jitter(*cls), [this, fwd] {
-    host().send_control(net::make_control(net::kBroadcastId, fwd));
-  });
+  host().simulator().after(
+      routing::csi_flood_jitter(*cls, cfg_.csi_jitter, host().protocol_rng()),
+      [this, fwd] {
+        host().send_control(net::make_control(net::kBroadcastId, fwd));
+      });
 }
 
 void RicaProtocol::close_source_window(net::FlowKey flow) {

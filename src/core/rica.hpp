@@ -162,8 +162,6 @@ class RicaProtocol final : public routing::Protocol {
   void on_reer(const net::ReerMsg& msg, net::NodeId from);
 
   [[nodiscard]] bool relay_entry_live(const RelayState& r) const;
-  /// CSI-proportional flood-forwarding delay for the link class `cls`.
-  [[nodiscard]] sim::Time forward_jitter(channel::CsiClass cls);
 
   RicaConfig cfg_;
   routing::HistoryTable history_;

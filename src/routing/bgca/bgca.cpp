@@ -13,13 +13,6 @@ constexpr std::uint8_t kTagLq = 2;
 BgcaProtocol::BgcaProtocol(ProtocolHost& host, const BgcaConfig& cfg)
     : Protocol(host), cfg_(cfg) {}
 
-sim::Time BgcaProtocol::forward_jitter(channel::CsiClass cls) {
-  const double excess = channel::csi_hop_distance(cls) - 1.0;
-  const double dither = host().protocol_rng().uniform(0.0, 0.5e6);
-  return sim::Time{static_cast<std::int64_t>(
-             excess * static_cast<double>(cfg_.csi_jitter.nanos()) + dither)};
-}
-
 std::optional<net::NodeId> BgcaProtocol::downstream(net::FlowKey flow) const {
   const auto it = entries_.find(flow);
   if (it == entries_.end() || !it->second.valid) return std::nullopt;
@@ -120,9 +113,11 @@ void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
   net::RreqMsg fwd = msg;
   fwd.csi_hops = csi_hops;
   fwd.topo_hops = topo;
-  host().simulator().after(forward_jitter(*cls), [this, fwd] {
-    host().send_control(net::make_control(net::kBroadcastId, fwd));
-  });
+  host().simulator().after(
+      csi_flood_jitter(*cls, cfg_.csi_jitter, host().protocol_rng()),
+      [this, fwd] {
+        host().send_control(net::make_control(net::kBroadcastId, fwd));
+      });
 }
 
 void BgcaProtocol::close_dest_window(net::FlowKey flow) {
@@ -262,9 +257,11 @@ void BgcaProtocol::on_lq(const net::BgcaLqMsg& msg, net::NodeId from) {
   fwd.csi_hops = csi_hops;
   fwd.topo_hops = topo;
   fwd.ttl = static_cast<std::int16_t>(msg.ttl - 1);
-  host().simulator().after(forward_jitter(*cls), [this, fwd] {
-    host().send_control(net::make_control(net::kBroadcastId, fwd));
-  });
+  host().simulator().after(
+      csi_flood_jitter(*cls, cfg_.csi_jitter, host().protocol_rng()),
+      [this, fwd] {
+        host().send_control(net::make_control(net::kBroadcastId, fwd));
+      });
 }
 
 void BgcaProtocol::on_lq_reply(const net::BgcaLqReplyMsg& msg,

@@ -96,7 +96,6 @@ class BgcaProtocol final : public Protocol {
   void flush_pending(net::FlowKey flow);
   void forward_or_drop(net::DataPacket pkt, Entry& e);
 
-  [[nodiscard]] sim::Time forward_jitter(channel::CsiClass cls);
 
   BgcaConfig cfg_;
   HistoryTable history_;

@@ -127,6 +127,20 @@ struct CsiCandidate {
   }
 };
 
+/// Flood-forwarding delay of the CSI-metric protocols (RICA, BGCA) for a
+/// copy that arrived over a link of class `cls`: `per_hop` for each unit of
+/// CSI hop distance beyond the first, plus a dither of up to 0.5 ms.  The
+/// first copy to reach any terminal then travelled an approximately
+/// CSI-shortest path.
+inline sim::Time csi_flood_jitter(channel::CsiClass cls, sim::Time per_hop,
+                                  sim::RandomStream& rng) {
+  const double excess = channel::csi_hop_distance(cls) - 1.0;
+  const double dither = rng.uniform(0.0, 0.5e6);
+  return sim::Time{static_cast<std::int64_t>(
+             excess * static_cast<double>(per_hop.nanos()))} +
+         sim::Time{static_cast<std::int64_t>(dither)};
+}
+
 /// Collects every copy of one flood for a fixed wait, then picks the best:
 /// the destination's RREQ/BQ window (§II-B "receives several RREQ's ... and
 /// chooses a route with the minimal distance value") and RICA's source
