@@ -1,5 +1,6 @@
 // Engine micro-benchmarks (google-benchmark): event queue, channel sampling,
-// mobility evaluation, Dijkstra, and a full-stack end-to-end run.  Not a
+// mobility evaluation, the flood history table, Dijkstra, and a full-stack
+// end-to-end run.  Not a
 // paper figure — these guard the simulator's performance so the paper-scale
 // sweeps (25 trials x 500 s x 5 protocols) stay tractable.
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "mac/common_channel.hpp"
 #include "mobility/mobility_model.hpp"
 #include "net/packet.hpp"
+#include "routing/tables.hpp"
 #include "sim/event_engine.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -200,6 +202,51 @@ void BM_ChannelSampleMetro(benchmark::State& state) {
   state.counters["pairs"] = static_cast<double>(pairs.size());
 }
 BENCHMARK(BM_ChannelSampleMetro);
+
+// One relay's flood history table at metro scale: a 6 s metro RICA run
+// records ~170k floods over 500 nodes, ~340 per node.  The floods come from
+// random origins with each origin's bids counting up, as in a run.
+constexpr int kFloodsPerNode = 340;
+
+std::vector<std::pair<net::NodeId, std::uint32_t>> metro_floods() {
+  sim::RandomStream rng(23);
+  std::vector<std::uint32_t> next_bid(500, 1);
+  std::vector<std::pair<net::NodeId, std::uint32_t>> floods;
+  for (int i = 0; i < kFloodsPerNode; ++i) {
+    const auto origin = static_cast<net::NodeId>(rng.uniform_int(0, 499));
+    floods.emplace_back(origin, next_bid[origin]++);
+  }
+  return floods;
+}
+
+// First copies: a fresh table records every flood (growth included).
+void BM_HistoryTableRecord(benchmark::State& state) {
+  const auto floods = metro_floods();
+  for (auto _ : state) {
+    routing::HistoryTable h;
+    for (const auto& [origin, bid] : floods) {
+      benchmark::DoNotOptimize(h.record(origin, bid, 1, origin));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kFloodsPerNode);
+}
+BENCHMARK(BM_HistoryTableRecord);
+
+// Duplicate copies: the history-first lookup a relay makes before it would
+// measure the link, against a table holding every flood.
+void BM_HistoryTableDuplicate(benchmark::State& state) {
+  const auto floods = metro_floods();
+  routing::HistoryTable h;
+  for (const auto& [origin, bid] : floods) h.record(origin, bid, 1, origin);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& [origin, bid] = floods[next];
+    next = next + 1 == floods.size() ? 0 : next + 1;
+    benchmark::DoNotOptimize(h.seen(origin, bid, 1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistoryTableDuplicate);
 
 void BM_NeighborScan(benchmark::State& state) {
   sim::RngManager rng(13);

@@ -10,8 +10,6 @@ namespace rica::core {
 namespace {
 constexpr std::uint8_t kTagRreq = 1;
 constexpr std::uint8_t kTagCheck = 2;
-
-using routing::bid_key;
 }  // namespace
 
 RicaProtocol::RicaProtocol(routing::ProtocolHost& host, const RicaConfig& cfg)
@@ -145,8 +143,7 @@ void RicaProtocol::begin_discovery(net::FlowKey flow, SourceState& s) {
 }
 
 std::uint32_t RicaProtocol::send_rreq(net::FlowKey flow) {
-  const std::uint32_t bid = next_bid_++;
-  history_.seen_or_insert(host().id(), bid, kTagRreq);
+  const std::uint32_t bid = history_.originate(host().id(), kTagRreq);
   host().send_control(net::make_control(
       net::kBroadcastId,
       net::RreqMsg{net::flow_src(flow), net::flow_dst(flow), bid, 0.0, 0}));
@@ -179,18 +176,15 @@ void RicaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
     return;
   }
 
-  history_.seen_or_insert(msg.src, msg.bid, kTagRreq);
-  rreq_upstream_[bid_key(msg.src, msg.bid)] = from;
+  history_.record(msg.src, msg.bid, kTagRreq, from);
 
   if (topo >= cfg_.rreq_ttl) return;
   net::RreqMsg fwd = msg;
   fwd.csi_hops = csi_hops;
   fwd.topo_hops = topo;
-  host().simulator().after(
+  rebroadcast_after(
       routing::csi_flood_jitter(*cls, cfg_.csi_jitter, host().protocol_rng()),
-      [this, fwd] {
-        host().send_control(net::make_control(net::kBroadcastId, fwd));
-      });
+      fwd);
 }
 
 void RicaProtocol::close_dest_window(net::FlowKey flow) {
@@ -226,15 +220,14 @@ void RicaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
   auto& r = relays_[flow];
   r.valid = true;
   r.downstream = from;
-  r.hops_to_dst = static_cast<std::uint16_t>(msg.topo_hops + 1);
   r.last_used = now();
 
-  const auto up = rreq_upstream_.find(bid_key(msg.src, msg.bid));
-  if (up == rreq_upstream_.end()) return;  // reverse path lost
-  r.upstream = up->second;
+  const auto up = history_.upstream(msg.src, msg.bid, kTagRreq);
+  if (!up) return;  // reverse path lost
+  r.upstream = *up;
   net::RrepMsg fwd = msg;
   fwd.topo_hops = static_cast<std::uint16_t>(msg.topo_hops + 1);
-  host().send_control(net::make_control(up->second, fwd));
+  host().send_control(net::make_control(*up, fwd));
 }
 
 // ---------------------------------------------------------------------------
@@ -256,7 +249,7 @@ void RicaProtocol::broadcast_check(net::FlowKey flow) {
     return;  // flow went idle; the timer stays disarmed (§II-C)
   }
   const std::uint32_t bid = d.next_check_bid++;
-  history_.seen_or_insert(net::flow_dst(flow), bid, kTagCheck);
+  history_.record(host().id(), bid, kTagCheck, host().id());
   net::CsiCheckMsg msg;
   msg.src = net::flow_src(flow);
   msg.dst = net::flow_dst(flow);
@@ -289,16 +282,6 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
 
   if (msg.dst == host().id()) return;  // our own flood echoed back
 
-  // Overhearing (§II-C): `from` named us as the terminal it received the
-  // check from, so `from` may become our upstream on the refreshed route;
-  // arm the PN-code detection window.  This applies even to duplicate
-  // copies that are otherwise discarded.
-  if (msg.received_from == host().id() && msg.src != host().id()) {
-    auto& r = relays_[flow];
-    r.cand_upstream = from;
-    r.cand_upstream_expiry = now() + cfg_.detect_window;
-  }
-
   const bool at_src = msg.src == host().id();
   // History first, as in on_rreq: the source collects every copy, a relay
   // measures only the first.
@@ -322,11 +305,10 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
     return;
   }
 
-  history_.seen_or_insert(msg.dst, msg.bid, kTagCheck);
+  history_.record(msg.dst, msg.bid, kTagCheck, from);
 
   // Relay: remember the downstream we first heard this check from.
   auto& r = relays_[flow];
-  r.check_bid = msg.bid;
   r.check_next = from;
   r.check_next_valid = true;
 
@@ -336,11 +318,9 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
   fwd.topo_hops = topo;
   fwd.ttl = static_cast<std::int16_t>(msg.ttl - 1);
   fwd.received_from = from;
-  host().simulator().after(
+  rebroadcast_after(
       routing::csi_flood_jitter(*cls, cfg_.csi_jitter, host().protocol_rng()),
-      [this, fwd] {
-        host().send_control(net::make_control(net::kBroadcastId, fwd));
-      });
+      fwd);
 }
 
 void RicaProtocol::close_source_window(net::FlowKey flow) {
@@ -451,7 +431,6 @@ double RicaProtocol::table_load() const {
   lf = std::max(lf, sources_.load_factor());
   lf = std::max(lf, relays_.load_factor());
   lf = std::max(lf, dests_.load_factor());
-  lf = std::max(lf, rreq_upstream_.load_factor());
   return lf;
 }
 

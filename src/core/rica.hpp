@@ -10,13 +10,14 @@
 // destination periodically broadcasts a TTL-bounded CSI-checking packet.
 // Each relay forwards it once, adding the measured CSI distance of the link
 // it arrived on, remembers the neighbour it first heard it from (its future
-// downstream), and names that neighbour in the rebroadcast so the neighbour
-// can overhear and arm its PN-code detection window.  The source gathers the
-// checks for 40 ms, picks the CSI-shortest candidate, and — if it differs
-// from the current route — unicasts a RUPD to the new first hop and marks
-// the next data packet with the update flag; the flag re-anchors each relay
-// to its first-check downstream as the packet travels.  Abandoned routes
-// expire after one idle second.
+// downstream), and names that neighbour in the rebroadcast.  The source
+// gathers the checks for 40 ms, picks the CSI-shortest candidate, and — if
+// it differs from the current route — unicasts a RUPD to the new first hop
+// and marks the next data packet with the update flag; the flag re-anchors
+// each relay to its first-check downstream as the packet travels.  (The
+// PN-code detection window the paper arms by that naming is not modelled;
+// the update flag does the re-anchoring.)  Abandoned routes expire after
+// one idle second.
 //
 // Route maintenance (§II-D): per-packet data ACKs detect breaks; REERs are
 // forwarded upstream only when they arrive from the terminal's *current*
@@ -37,13 +38,12 @@
 namespace rica::core {
 
 /// RICA tunables.  Defaults are the values the paper states (1 s checking
-/// period, 100 ms PN detection window, 40 ms source wait, 1 s route expiry).
+/// period, 40 ms source wait, 1 s route expiry).
 struct RicaConfig {
   sim::Time check_period = sim::seconds(1);
   sim::Time source_wait = sim::milliseconds(40);
   sim::Time dest_wait = sim::milliseconds(40);
   sim::Time route_expiry = sim::seconds(1);
-  sim::Time detect_window = sim::milliseconds(100);
   sim::Time flow_active_timeout = sim::seconds(3);
   std::int16_t rreq_ttl = 16;
   std::int16_t check_ttl_slack = 2;
@@ -113,14 +113,9 @@ class RicaProtocol final : public routing::Protocol {
     net::NodeId upstream = 0;
     net::NodeId downstream = 0;
     sim::Time last_used{};
-    std::uint16_t hops_to_dst = 0;
-    // first CSI check of the latest broadcast id seen here
-    std::uint32_t check_bid = 0;
+    // downstream of the first copy of the latest CSI check seen here
     net::NodeId check_next = 0;
     bool check_next_valid = false;
-    // overheard possible-upstream (PN detection window bookkeeping)
-    net::NodeId cand_upstream = 0;
-    sim::Time cand_upstream_expiry{};
   };
   struct DestState {
     /// Periodic §II-C checking timer; armed() means a check is scheduled.
@@ -168,8 +163,6 @@ class RicaProtocol final : public routing::Protocol {
   util::FlatMap64<SourceState> sources_;
   util::FlatMap64<RelayState> relays_;
   util::FlatMap64<DestState> dests_;
-  util::FlatMap64<net::NodeId> rreq_upstream_;
-  std::uint32_t next_bid_ = 1;
 };
 
 }  // namespace rica::core

@@ -98,8 +98,8 @@ struct CsiCheckMsg {
   std::uint16_t topo_hops = 0;
   std::int16_t ttl = 0;
   NodeId received_from = 0;  ///< §II-C: the rebroadcaster names the terminal
-                             ///< it got the packet from, so that terminal can
-                             ///< overhear and arm its PN detection window
+                             ///< it got the packet from (carried on the wire;
+                             ///< the PN detection window is not modelled)
 
   friend bool operator==(const CsiCheckMsg&, const CsiCheckMsg&) = default;
 };

@@ -120,8 +120,7 @@ void AbrProtocol::begin_discovery(net::FlowKey flow) {
 }
 
 std::uint32_t AbrProtocol::send_bq(net::FlowKey flow) {
-  const std::uint32_t bid = next_bid_++;
-  history_.seen_or_insert(host().id(), bid, kTagBq);
+  const std::uint32_t bid = history_.originate(host().id(), kTagBq);
   net::AbrBqMsg msg;
   msg.src = net::flow_src(flow);
   msg.dst = net::flow_dst(flow);
@@ -149,8 +148,7 @@ void AbrProtocol::on_bq(const net::AbrBqMsg& msg, net::NodeId from) {
     }
     return;
   }
-  if (history_.seen_or_insert(msg.src, msg.bid, kTagBq)) return;
-  bq_upstream_[bid_key(msg.src, msg.bid)] = from;
+  if (!history_.record(msg.src, msg.bid, kTagBq, from)) return;
   if (topo >= cfg_.bq_ttl) return;
   net::AbrBqMsg fwd = msg;
   fwd.tick_sum = tick_sum;
@@ -190,12 +188,12 @@ void AbrProtocol::on_reply(const net::AbrReplyMsg& msg, net::NodeId from) {
     flush_repair(flow);
     return;
   }
-  const auto up = bq_upstream_.find(bid_key(msg.src, msg.bid));
-  if (up == bq_upstream_.end()) return;
-  e.upstream = up->second;
+  const auto up = history_.upstream(msg.src, msg.bid, kTagBq);
+  if (!up) return;
+  e.upstream = *up;
   net::AbrReplyMsg fwd = msg;
   fwd.topo_hops = static_cast<std::uint16_t>(msg.topo_hops + 1);
-  host().send_control(net::make_control(up->second, fwd));
+  host().send_control(net::make_control(*up, fwd));
 }
 
 // ---------------------------------------------------------------------------
@@ -206,10 +204,9 @@ void AbrProtocol::start_local_query(net::FlowKey flow) {
   auto& e = entries_[flow];
   e.repairing = true;
   e.valid = false;
-  const std::uint32_t bid = next_bid_++;
+  const std::uint32_t bid = history_.originate(host().id(), kTagLq);
   e.lq_bid = bid;
   e.lq_candidates.clear();
-  history_.seen_or_insert(host().id(), bid, kTagLq);
   host().count("abr.lq");
   host().trace_route("repair_start", net::flow_src(flow), net::flow_dst(flow),
                      bid);
@@ -229,10 +226,9 @@ void AbrProtocol::start_local_query(net::FlowKey flow) {
 
 void AbrProtocol::on_lq(const net::AbrLqMsg& msg, net::NodeId from) {
   if (msg.origin == host().id()) return;
-  if (history_.seen_or_insert(msg.origin, msg.bid, kTagLq)) return;
+  if (!history_.record(msg.origin, msg.bid, kTagLq, from)) return;
 
   const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);
-  lq_upstream_[bid_key(msg.origin, msg.bid)] = from;
 
   const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
   const auto it = entries_.find(flow);
@@ -273,12 +269,12 @@ void AbrProtocol::on_lq_reply(const net::AbrLqReplyMsg& msg,
   e.downstream = from;
   e.hops_to_dst = static_cast<std::uint16_t>(msg.join_hops_to_dst + 1);
   e.repairing = false;
-  const auto up = lq_upstream_.find(bid_key(msg.origin, msg.bid));
-  if (up == lq_upstream_.end()) return;
-  e.upstream = up->second;
+  const auto up = history_.upstream(msg.origin, msg.bid, kTagLq);
+  if (!up) return;
+  e.upstream = *up;
   net::AbrLqReplyMsg fwd = msg;
   fwd.join_hops_to_dst = e.hops_to_dst;
-  host().send_control(net::make_control(up->second, fwd));
+  host().send_control(net::make_control(*up, fwd));
 }
 
 void AbrProtocol::finish_local_query(net::FlowKey flow, std::uint32_t bid) {
@@ -354,8 +350,6 @@ double AbrProtocol::table_load() const {
   lf = std::max(lf, sources_.load_factor());
   lf = std::max(lf, dests_.load_factor());
   lf = std::max(lf, repair_pending_.load_factor());
-  lf = std::max(lf, bq_upstream_.load_factor());
-  lf = std::max(lf, lq_upstream_.load_factor());
   return lf;
 }
 

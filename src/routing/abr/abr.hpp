@@ -108,9 +108,6 @@ class AbrProtocol final : public Protocol {
   util::FlatMap64<Discovery> sources_;
   util::FlatMap64<CandidateWindow<Candidate>> dests_;  ///< BQ windows
   util::FlatMap64<Discovery> repair_pending_;  ///< held during local repair
-  util::FlatMap64<net::NodeId> bq_upstream_;
-  util::FlatMap64<net::NodeId> lq_upstream_;
-  std::uint32_t next_bid_ = 1;
 };
 
 }  // namespace rica::routing

@@ -49,8 +49,7 @@ void AodvProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
 }
 
 std::uint32_t AodvProtocol::send_rreq(net::NodeId dst) {
-  const std::uint32_t bid = next_bid_++;
-  history_.seen_or_insert(host().id(), bid, kTagRreq);  // ignore echoes
+  const std::uint32_t bid = history_.originate(host().id(), kTagRreq);
   host().send_control(net::make_control(
       net::kBroadcastId, net::AodvRreqMsg{host().id(), dst, bid, 0}));
   return bid;
@@ -69,9 +68,7 @@ void AodvProtocol::on_control(const net::ControlPacket& pkt,
 
 void AodvProtocol::on_rreq(const net::AodvRreqMsg& msg, net::NodeId from) {
   if (msg.src == host().id()) return;  // our own flood echoed back
-  if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq)) return;
-  reverse_[bid_key(msg.src, msg.bid)] =
-      ReversePath{from, static_cast<std::uint16_t>(msg.hops + 1)};
+  if (!history_.record(msg.src, msg.bid, kTagRreq, from)) return;
 
   if (msg.dst == host().id()) {
     // Paper: "the destination responds only the first RREQ and chooses the
@@ -86,9 +83,7 @@ void AodvProtocol::on_rreq(const net::AodvRreqMsg& msg, net::NodeId from) {
   const auto jitter = sim::Time{static_cast<std::int64_t>(
       host().protocol_rng().uniform(
           0.0, static_cast<double>(cfg_.forward_jitter_max.nanos())))};
-  host().simulator().after(jitter, [this, fwd] {
-    host().send_control(net::make_control(net::kBroadcastId, fwd));
-  });
+  rebroadcast_after(jitter, fwd);
 }
 
 void AodvProtocol::on_rrep(const net::AodvRrepMsg& msg, net::NodeId from) {
@@ -103,11 +98,11 @@ void AodvProtocol::on_rrep(const net::AodvRrepMsg& msg, net::NodeId from) {
     flush_pending(msg.dst);
     return;
   }
-  const auto it = reverse_.find(bid_key(msg.src, msg.bid));
-  if (it == reverse_.end()) return;  // reverse path evaporated
+  const auto up = history_.upstream(msg.src, msg.bid, kTagRreq);
+  if (!up) return;  // reverse path evaporated
   net::AodvRrepMsg fwd = msg;
   fwd.hops = static_cast<std::uint16_t>(msg.hops + 1);
-  host().send_control(net::make_control(it->second.upstream, fwd));
+  host().send_control(net::make_control(*up, fwd));
 }
 
 void AodvProtocol::on_rerr(const net::AodvRerrMsg& msg, net::NodeId from) {
@@ -144,7 +139,6 @@ void AodvProtocol::flush_pending(net::NodeId dst) {
 double AodvProtocol::table_load() const {
   double lf = history_.load_factor();
   lf = std::max(lf, routes_.load_factor());
-  lf = std::max(lf, reverse_.load_factor());
   lf = std::max(lf, discovery_.load_factor());
   lf = std::max(lf, precursor_.load_factor());
   return lf;

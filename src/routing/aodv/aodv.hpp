@@ -52,10 +52,6 @@ class AodvProtocol final : public Protocol {
     bool valid = false;
     sim::Time last_used{};
   };
-  struct ReversePath {
-    net::NodeId upstream = 0;
-    std::uint16_t hops_from_src = 0;
-  };
 
   std::uint32_t send_rreq(net::NodeId dst);
   void on_rreq(const net::AodvRreqMsg& msg, net::NodeId from);
@@ -66,12 +62,10 @@ class AodvProtocol final : public Protocol {
   AodvConfig cfg_;
   HistoryTable history_;
   util::FlatMap64<Route> routes_;         // dst -> entry
-  util::FlatMap64<ReversePath> reverse_;  // (src,bid)
   util::FlatMap64<Discovery> discovery_;  // dst -> state
   // Upstream of the most recent data packet per destination; RERRs retrace
   // this path toward the source (a light-weight precursor list).
   util::FlatMap64<net::NodeId> precursor_;
-  std::uint32_t next_bid_ = 1;
 };
 
 }  // namespace rica::routing

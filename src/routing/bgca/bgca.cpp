@@ -78,8 +78,7 @@ void BgcaProtocol::begin_discovery(net::FlowKey flow) {
 }
 
 std::uint32_t BgcaProtocol::send_rreq(net::FlowKey flow) {
-  const std::uint32_t bid = next_bid_++;
-  history_.seen_or_insert(host().id(), bid, kTagRreq);
+  const std::uint32_t bid = history_.originate(host().id(), kTagRreq);
   host().send_control(net::make_control(
       net::kBroadcastId,
       net::RreqMsg{net::flow_src(flow), net::flow_dst(flow), bid, 0.0, 0}));
@@ -107,17 +106,13 @@ void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
     }
     return;
   }
-  history_.seen_or_insert(msg.src, msg.bid, kTagRreq);
-  rreq_upstream_[bid_key(msg.src, msg.bid)] = from;
+  history_.record(msg.src, msg.bid, kTagRreq, from);
   if (topo >= cfg_.rreq_ttl) return;
   net::RreqMsg fwd = msg;
   fwd.csi_hops = csi_hops;
   fwd.topo_hops = topo;
-  host().simulator().after(
-      csi_flood_jitter(*cls, cfg_.csi_jitter, host().protocol_rng()),
-      [this, fwd] {
-        host().send_control(net::make_control(net::kBroadcastId, fwd));
-      });
+  rebroadcast_after(
+      csi_flood_jitter(*cls, cfg_.csi_jitter, host().protocol_rng()), fwd);
 }
 
 void BgcaProtocol::close_dest_window(net::FlowKey flow) {
@@ -145,12 +140,12 @@ void BgcaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
     flush_pending(flow);
     return;
   }
-  const auto up = rreq_upstream_.find(bid_key(msg.src, msg.bid));
-  if (up == rreq_upstream_.end()) return;
-  e.upstream = up->second;
+  const auto up = history_.upstream(msg.src, msg.bid, kTagRreq);
+  if (!up) return;
+  e.upstream = *up;
   net::RrepMsg fwd = msg;
   fwd.topo_hops = static_cast<std::uint16_t>(msg.topo_hops + 1);
-  host().send_control(net::make_control(up->second, fwd));
+  host().send_control(net::make_control(*up, fwd));
 }
 
 void BgcaProtocol::flush_pending(net::FlowKey flow) {
@@ -198,10 +193,9 @@ void BgcaProtocol::start_local_query(net::FlowKey flow, bool broken) {
   if (e.repairing) return;
   e.repairing = broken;  // keep using a degraded (but live) link meanwhile
   e.last_lq = now();
-  const std::uint32_t bid = next_bid_++;
+  const std::uint32_t bid = history_.originate(host().id(), kTagLq);
   e.lq_bid = bid;
   e.lq_candidates.clear();
-  history_.seen_or_insert(host().id(), bid, kTagLq);
   host().count("bgca.lq");
   host().trace_route("repair_start", net::flow_src(flow), net::flow_dst(flow),
                      bid);
@@ -226,11 +220,10 @@ void BgcaProtocol::on_lq(const net::BgcaLqMsg& msg, net::NodeId from) {
   if (history_.seen(msg.origin, msg.bid, kTagLq)) return;
   const auto cls = host().link_csi(from);
   if (!cls) return;
-  history_.seen_or_insert(msg.origin, msg.bid, kTagLq);
+  history_.record(msg.origin, msg.bid, kTagLq, from);
 
   const double csi_hops = msg.csi_hops + channel::csi_hop_distance(*cls);
   const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);
-  lq_upstream_[bid_key(msg.origin, msg.bid)] = from;
 
   const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
   const auto it = entries_.find(flow);
@@ -257,11 +250,8 @@ void BgcaProtocol::on_lq(const net::BgcaLqMsg& msg, net::NodeId from) {
   fwd.csi_hops = csi_hops;
   fwd.topo_hops = topo;
   fwd.ttl = static_cast<std::int16_t>(msg.ttl - 1);
-  host().simulator().after(
-      csi_flood_jitter(*cls, cfg_.csi_jitter, host().protocol_rng()),
-      [this, fwd] {
-        host().send_control(net::make_control(net::kBroadcastId, fwd));
-      });
+  rebroadcast_after(
+      csi_flood_jitter(*cls, cfg_.csi_jitter, host().protocol_rng()), fwd);
 }
 
 void BgcaProtocol::on_lq_reply(const net::BgcaLqReplyMsg& msg,
@@ -280,12 +270,12 @@ void BgcaProtocol::on_lq_reply(const net::BgcaLqReplyMsg& msg,
   e.downstream = from;
   e.hops_to_dst = static_cast<std::uint16_t>(msg.join_hops_to_dst + 1);
   e.repairing = false;
-  const auto up = lq_upstream_.find(bid_key(msg.origin, msg.bid));
-  if (up == lq_upstream_.end()) return;
-  e.upstream = up->second;
+  const auto up = history_.upstream(msg.origin, msg.bid, kTagLq);
+  if (!up) return;
+  e.upstream = *up;
   net::BgcaLqReplyMsg fwd = msg;
   fwd.join_hops_to_dst = e.hops_to_dst;
-  host().send_control(net::make_control(up->second, fwd));
+  host().send_control(net::make_control(*up, fwd));
 }
 
 void BgcaProtocol::finish_local_query(net::FlowKey flow, std::uint32_t bid) {
@@ -358,8 +348,6 @@ double BgcaProtocol::table_load() const {
   lf = std::max(lf, sources_.load_factor());
   lf = std::max(lf, dests_.load_factor());
   lf = std::max(lf, repair_pending_.load_factor());
-  lf = std::max(lf, rreq_upstream_.load_factor());
-  lf = std::max(lf, lq_upstream_.load_factor());
   return lf;
 }
 

@@ -104,9 +104,6 @@ class BgcaProtocol final : public Protocol {
   util::FlatMap64<Discovery> sources_;
   util::FlatMap64<CandidateWindow<Candidate>> dests_;  ///< RREQ windows
   util::FlatMap64<Discovery> repair_pending_;  ///< held during local repair
-  util::FlatMap64<net::NodeId> rreq_upstream_;
-  util::FlatMap64<net::NodeId> lq_upstream_;
-  std::uint32_t next_bid_ = 1;
 };
 
 }  // namespace rica::routing

@@ -124,6 +124,14 @@ class Protocol {
   [[nodiscard]] const ProtocolHost& host() const { return host_; }
   /// The current simulation time.
   [[nodiscard]] sim::Time now() const { return host_.simulator().now(); }
+  /// Broadcasts `msg` on the common channel `delay` from now: a flood
+  /// relay's jittered rebroadcast.
+  template <typename Msg>
+  void rebroadcast_after(sim::Time delay, const Msg& msg) {
+    host_.simulator().after(delay, [this, msg] {
+      host_.send_control(net::make_control(net::kBroadcastId, msg));
+    });
+  }
 
  private:
   ProtocolHost& host_;

@@ -1,12 +1,14 @@
 // Shared building blocks for the on-demand protocols: the RREQ/BQ history
 // table (§II-B: "checks whether it has seen this packet before by looking up
 // its history table"), which flood relays consult before they measure the
-// link a copy arrived on, the broadcast key that names one flood, and the
-// pending-packet buffer used while a route is being discovered or repaired.
+// link a copy arrived on and which keeps each first copy's upstream as the
+// reverse path, and the pending-packet buffer used while a route is being
+// discovered or repaired.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -16,49 +18,63 @@
 
 namespace rica::routing {
 
-/// One flood, named by its originator and broadcast id: the key of the
-/// reverse-path maps that route a reply back along the flood.
-constexpr std::uint64_t bid_key(net::NodeId origin, std::uint32_t bid) {
-  return (static_cast<std::uint64_t>(origin) << 32) | bid;
-}
-
 /// Records which broadcast packets (keyed by origin and broadcast id) this
-/// terminal has already processed, so floods are forwarded exactly once.
+/// terminal has already processed, so floods are forwarded exactly once,
+/// and the upstream each first copy came from: the reverse path a reply
+/// (RREP, BQ reply, LQ reply) walks back along.
 ///
 /// Flood relays consult the table *before* measuring the link a copy came
 /// over (`seen`, which never inserts): a duplicate is discarded at the cost
-/// of one probe, without a channel sample.  Only a first copy that is also
-/// in range is recorded (`seen_or_insert`), so an out-of-range first copy
+/// of one probe, without a channel sample.  RICA and BGCA relays `record`
+/// only a first copy that is also in range, so an out-of-range first copy
 /// leaves a later in-range one forwardable.
 class HistoryTable {
  public:
-  /// Returns true if (origin, bid) was already recorded; otherwise records
-  /// it and returns false.  Scoped by a small tag so different packet kinds
-  /// (RREQ vs CSI check vs LQ) never collide.
-  bool seen_or_insert(net::NodeId origin, std::uint32_t bid,
-                      std::uint8_t tag = 0) {
-    return !seen_.insert(key(origin, bid, tag));
-  }
-
-  /// True if (origin, bid) under `tag` was recorded; never inserts.
+  /// True if (origin, bid) under `tag` was recorded; never inserts.  The
+  /// small tag scopes different packet kinds (RREQ vs CSI check vs LQ) so
+  /// they never collide.
   [[nodiscard]] bool seen(net::NodeId origin, std::uint32_t bid,
                           std::uint8_t tag = 0) const {
-    return seen_.contains(key(origin, bid, tag));
+    return entries_.contains(key(origin, bid, tag));
   }
 
-  void clear() { seen_.clear(); }
-  [[nodiscard]] std::size_t size() const { return seen_.size(); }
-  [[nodiscard]] double load_factor() const { return seen_.load_factor(); }
+  /// Records the copy of (origin, bid) under `tag` that arrived from
+  /// `from`; returns true when it is the first.  A later copy neither
+  /// overwrites the first one's upstream nor reports new.
+  bool record(net::NodeId origin, std::uint32_t bid, std::uint8_t tag,
+              net::NodeId from) {
+    return entries_.insert(key(origin, bid, tag), from);
+  }
+
+  /// The neighbour the first recorded copy came from, if any.
+  [[nodiscard]] std::optional<net::NodeId> upstream(net::NodeId origin,
+                                                    std::uint32_t bid,
+                                                    std::uint8_t tag) const {
+    return entries_.find(key(origin, bid, tag));
+  }
+
+  /// Starts a flood of this terminal's own: returns a fresh broadcast id,
+  /// already recorded so the flood's echoes are discarded.
+  std::uint32_t originate(net::NodeId self, std::uint8_t tag) {
+    const std::uint32_t bid = next_bid_++;
+    record(self, bid, tag, self);
+    return bid;
+  }
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] double load_factor() const { return entries_.load_factor(); }
 
  private:
   // Node ids are small (< 2^24, enforced at node construction), so
   // (tag, origin, bid) packs losslessly.
   static constexpr std::uint64_t key(net::NodeId origin, std::uint32_t bid,
                                      std::uint8_t tag) {
-    return static_cast<std::uint64_t>(tag) << 56 | bid_key(origin, bid);
+    return static_cast<std::uint64_t>(tag) << 56 |
+           static_cast<std::uint64_t>(origin) << 32 | bid;
   }
 
-  util::FlatSet64 seen_;
+  util::InsertOnlyMap64 entries_;
+  std::uint32_t next_bid_ = 1;
 };
 
 /// FIFO buffer holding data packets while a route is discovered/repaired.

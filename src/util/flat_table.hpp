@@ -1,10 +1,11 @@
 // Open-addressing hash tables over packed 64-bit keys.
 //
-// Every per-node routing table in the stack (route entries, reverse paths,
-// discovery state, RREQ/BQ upstreams, per-link queues) is keyed by a value
-// that packs losslessly into 64 bits: a NodeId, a FlowKey (src << 32 | dst),
-// or a (tag, origin, bid) history key — node ids are bounded below 2^24 at
-// construction (net::kMaxNodes), so all of these fit with room to spare.
+// Every per-node routing table in the stack (route entries, discovery
+// state, flood history with its upstreams, per-link queues) is keyed by a
+// value that packs losslessly into 64 bits: a NodeId, a FlowKey
+// (src << 32 | dst), or a (tag, origin, bid) history key — node ids are
+// bounded below 2^24 at construction (net::kMaxNodes), so all of these fit
+// with room to spare.
 // std::unordered_map spends a pointer chase plus an allocation per entry on
 // such keys; these tables instead probe a flat power-of-two index with
 // linear probing (one cache line covers several probes).
@@ -24,8 +25,9 @@
 // deterministic replay of a run reproduces the exact iteration order, which
 // the golden stream hashes pin down.
 //
-// FlatSet64 is the index alone (no values, no erase): membership with
-// insert/clear, which is all the flood-dedup history table needs.
+// InsertOnlyMap64 is an index with a 32-bit value inline beside each key
+// and no erase: the first copy of a flood and its upstream, which is all
+// the flood history table needs.
 #pragma once
 
 #include <cassert>
@@ -33,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -308,68 +311,79 @@ class FlatMap64 {
   std::size_t tombstones_ = 0;
 };
 
-/// Flat membership set over packed 64-bit keys: insert and clear only (the
-/// flood-dedup history table never erases single keys).  ~0ull is reserved
-/// as the empty-bucket sentinel — unreachable for real keys because node
-/// ids are bounded below 2^24 (net::kMaxNodes).
-class FlatSet64 {
+/// Insert-only flat map from a packed 64-bit key to a 32-bit value, for the
+/// flood history table: the first insert of a key wins and is never
+/// overwritten, and nothing is erased.  Keys and values sit in parallel
+/// probe arrays (12 bytes a slot, no slab).  ~0ull is reserved as the
+/// empty-bucket sentinel — unreachable for real keys because node ids are
+/// bounded below 2^24 (net::kMaxNodes).
+class InsertOnlyMap64 {
  public:
   static constexpr std::uint64_t kEmptyKey = ~0ull;
 
-  /// Inserts `key`; returns true when it was newly added.
-  bool insert(std::uint64_t key) {
-    assert(key != kEmptyKey && "FlatSet64: key collides with the sentinel");
-    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) grow();
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = detail::probe_start(key, mask);; i = (i + 1) & mask) {
-      if (slots_[i] == kEmptyKey) {
-        slots_[i] = key;
-        ++size_;
-        return true;
-      }
-      if (slots_[i] == key) return false;
-    }
+  /// Inserts (key, value) unless `key` is present; returns true when it was
+  /// newly added.  A present key keeps its first value.
+  bool insert(std::uint64_t key, std::uint32_t value) {
+    assert(key != kEmptyKey &&
+           "InsertOnlyMap64: key collides with the sentinel");
+    if (keys_.empty() || (size_ + 1) * 4 > keys_.size() * 3) grow();
+    const std::size_t i = probe(key);
+    if (keys_[i] == key) return false;
+    keys_[i] = key;
+    values_[i] = value;
+    ++size_;
+    return true;
+  }
+
+  /// The value stored under `key`, if any.
+  [[nodiscard]] std::optional<std::uint32_t> find(std::uint64_t key) const {
+    if (keys_.empty()) return std::nullopt;
+    const std::size_t i = probe(key);
+    if (keys_[i] != key) return std::nullopt;
+    return values_[i];
   }
 
   [[nodiscard]] bool contains(std::uint64_t key) const {
-    if (slots_.empty()) return false;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = detail::probe_start(key, mask);; i = (i + 1) & mask) {
-      if (slots_[i] == kEmptyKey) return false;
-      if (slots_[i] == key) return true;
-    }
-  }
-
-  void clear() {
-    slots_.assign(slots_.size(), kEmptyKey);
-    size_ = 0;
+    return !keys_.empty() && keys_[probe(key)] == key;
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] double load_factor() const {
-    return slots_.empty()
+    return keys_.empty()
                ? 0.0
                : static_cast<double>(size_) /
-                     static_cast<double>(slots_.size());
+                     static_cast<double>(keys_.size());
   }
-  [[nodiscard]] std::size_t index_capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t index_capacity() const { return keys_.size(); }
 
  private:
   static constexpr std::size_t kInitialSlots = 32;
 
+  /// The slot holding `key`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t probe(std::uint64_t key) const {
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t i = detail::probe_start(key, mask);
+    while (keys_[i] != key && keys_[i] != kEmptyKey) i = (i + 1) & mask;
+    return i;
+  }
+
   void grow() {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(old.empty() ? kInitialSlots : old.size() * 2, kEmptyKey);
-    const std::size_t mask = slots_.size() - 1;
-    for (const std::uint64_t key : old) {
-      if (key == kEmptyKey) continue;
-      std::size_t i = detail::probe_start(key, mask);
-      while (slots_[i] != kEmptyKey) i = (i + 1) & mask;
-      slots_[i] = key;
+    std::vector<std::uint64_t> old_keys = std::move(keys_);
+    std::vector<std::uint32_t> old_values = std::move(values_);
+    const std::size_t cap =
+        old_keys.empty() ? kInitialSlots : old_keys.size() * 2;
+    keys_.assign(cap, kEmptyKey);
+    values_.assign(cap, 0);
+    for (std::size_t j = 0; j < old_keys.size(); ++j) {
+      if (old_keys[j] == kEmptyKey) continue;
+      const std::size_t i = probe(old_keys[j]);
+      keys_[i] = old_keys[j];
+      values_[i] = old_values[j];
     }
   }
 
-  std::vector<std::uint64_t> slots_;
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> values_;
   std::size_t size_ = 0;
 };
 

@@ -1,14 +1,14 @@
 // Model tests for the open-addressing tables (util/flat_table.hpp):
-// FlatMap64 and FlatSet64 churned against std::unordered_map/set references,
+// FlatMap64 and InsertOnlyMap64 churned against std::unordered_map references,
 // plus the guarantees the routing protocols lean on — stable value
 // addresses across inserts and rehashes, deterministic iteration, and
 // tombstone recycling after erase-heavy workloads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -121,22 +121,26 @@ TEST(FlatMap64, RandomizedChurnMatchesUnorderedMapReference) {
   }
 }
 
-TEST(FlatSet64, RandomizedChurnMatchesUnorderedSetReference) {
+TEST(InsertOnlyMap64, RandomizedChurnMatchesFirstInsertWinsReference) {
   sim::RandomStream rng(99);
-  FlatSet64 s;
-  std::unordered_set<std::uint64_t> ref;
+  InsertOnlyMap64 m;
+  // try_emplace keeps the first value, like the table under test.
+  std::unordered_map<std::uint64_t, std::uint32_t> ref;
   for (int op = 0; op < 20000; ++op) {
     const auto key = static_cast<std::uint64_t>(rng.uniform_int(0, 5000));
-    EXPECT_EQ(s.insert(key), ref.insert(key).second);
+    const auto value = static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 20));
+    EXPECT_EQ(m.insert(key, value), ref.try_emplace(key, value).second);
     const auto probe = static_cast<std::uint64_t>(rng.uniform_int(0, 5000));
-    EXPECT_EQ(s.contains(probe), ref.contains(probe));
-    ASSERT_EQ(s.size(), ref.size());
+    const auto rit = ref.find(probe);
+    EXPECT_EQ(m.contains(probe), rit != ref.end());
+    EXPECT_EQ(m.find(probe), rit == ref.end()
+                                 ? std::nullopt
+                                 : std::optional<std::uint32_t>{rit->second});
+    ASSERT_EQ(m.size(), ref.size());
   }
-  EXPECT_LE(s.load_factor(), 0.76);
-  s.clear();
-  EXPECT_EQ(s.size(), 0u);
-  EXPECT_FALSE(s.contains(1));
-  EXPECT_TRUE(s.insert(1));
+  // Every stored value survived the rehashes unchanged.
+  for (const auto& [k, v] : ref) EXPECT_EQ(m.find(k), v);
+  EXPECT_LE(m.load_factor(), 0.76);
 }
 
 }  // namespace

@@ -26,17 +26,17 @@ constexpr net::FlowKey kFlow = net::flow_key(kSrc, kDst);
 
 TEST(HistoryTable, DetectsDuplicates) {
   HistoryTable h;
-  EXPECT_FALSE(h.seen_or_insert(3, 7));
-  EXPECT_TRUE(h.seen_or_insert(3, 7));
-  EXPECT_FALSE(h.seen_or_insert(3, 8));
-  EXPECT_FALSE(h.seen_or_insert(4, 7));
+  EXPECT_TRUE(h.record(3, 7, 0, 5));
+  EXPECT_FALSE(h.record(3, 7, 0, 5));
+  EXPECT_TRUE(h.record(3, 8, 0, 5));
+  EXPECT_TRUE(h.record(4, 7, 0, 5));
 }
 
 TEST(HistoryTable, TagsSeparateNamespaces) {
   HistoryTable h;
-  EXPECT_FALSE(h.seen_or_insert(3, 7, 1));
-  EXPECT_FALSE(h.seen_or_insert(3, 7, 2));
-  EXPECT_TRUE(h.seen_or_insert(3, 7, 1));
+  EXPECT_TRUE(h.record(3, 7, 1, 5));
+  EXPECT_TRUE(h.record(3, 7, 2, 5));
+  EXPECT_FALSE(h.record(3, 7, 1, 5));
 }
 
 TEST(HistoryTable, SeenLooksUpWithoutInserting) {
@@ -44,10 +44,46 @@ TEST(HistoryTable, SeenLooksUpWithoutInserting) {
   EXPECT_FALSE(h.seen(3, 7, 1));
   EXPECT_FALSE(h.seen(3, 7, 1));
   EXPECT_EQ(h.size(), 0u);
-  h.seen_or_insert(3, 7, 1);
+  h.record(3, 7, 1, 5);
   EXPECT_TRUE(h.seen(3, 7, 1));
   EXPECT_FALSE(h.seen(3, 7, 2));
   EXPECT_EQ(h.size(), 1u);
+}
+
+TEST(HistoryTable, SecondRecordKeepsTheFirstUpstream) {
+  HistoryTable h;
+  ASSERT_TRUE(h.record(3, 7, 1, 5));
+  EXPECT_FALSE(h.record(3, 7, 1, 6));
+  EXPECT_EQ(h.upstream(3, 7, 1), std::optional<net::NodeId>{5});
+  EXPECT_EQ(h.size(), 1u);
+}
+
+TEST(HistoryTable, UnrecordedFloodHasNoUpstream) {
+  HistoryTable h;
+  EXPECT_EQ(h.upstream(3, 7, 1), std::nullopt);
+  h.record(3, 7, 1, 5);
+  EXPECT_EQ(h.upstream(3, 8, 1), std::nullopt);
+  EXPECT_EQ(h.upstream(4, 7, 1), std::nullopt);
+  EXPECT_EQ(h.upstream(3, 7, 2), std::nullopt);
+}
+
+TEST(HistoryTable, TagsKeepSeparateUpstreams) {
+  HistoryTable h;
+  h.record(3, 7, 1, 5);
+  h.record(3, 7, 2, 6);
+  EXPECT_EQ(h.upstream(3, 7, 1), std::optional<net::NodeId>{5});
+  EXPECT_EQ(h.upstream(3, 7, 2), std::optional<net::NodeId>{6});
+}
+
+TEST(HistoryTable, OriginateRecordsFreshBidsWithSelfUpstream) {
+  HistoryTable h;
+  const std::uint32_t a = h.originate(2, 1);
+  const std::uint32_t b = h.originate(2, 3);
+  EXPECT_NE(a, b);
+  EXPECT_TRUE(h.seen(2, a, 1));
+  EXPECT_TRUE(h.seen(2, b, 3));
+  EXPECT_EQ(h.upstream(2, a, 1), std::optional<net::NodeId>{2});
+  EXPECT_FALSE(h.record(2, a, 1, 9));  // an echo of our own flood
 }
 
 TEST(PendingBuffer, CapacityEnforced) {
