@@ -1,8 +1,8 @@
 // Engine micro-benchmarks (google-benchmark): event queue, channel sampling,
 // mobility evaluation, the flood history table, Dijkstra, and a full-stack
-// end-to-end run.  Not a
-// paper figure — these guard the simulator's performance so the paper-scale
-// sweeps (25 trials x 500 s x 5 protocols) stay tractable.
+// end-to-end run.  Not a paper figure — these guard the simulator's
+// performance so the paper-scale sweeps (25 trials x 500 s x 5 protocols)
+// stay tractable.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -354,7 +354,6 @@ class InsertOnlyMap64 {
                : static_cast<double>(size_) /
                      static_cast<double>(keys_.size());
   }
-  [[nodiscard]] std::size_t index_capacity() const { return keys_.size(); }
 
  private:
   static constexpr std::size_t kInitialSlots = 32;
