@@ -169,10 +169,9 @@ void RicaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
     // neighbour) is a candidate; the duplicate-suppression rule only
     // governs relay forwarding.
     const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
-    if (dests_[flow].rreqs.add(msg.bid, Candidate{from, csi_hops, topo})) {
-      host().simulator().after(cfg_.dest_wait,
-                               [this, flow] { close_dest_window(flow); });
-    }
+    dests_[flow].rreqs.add(host().simulator(), cfg_.dest_wait, msg.bid,
+                           Candidate{from, csi_hops, topo},
+                           [this, flow] { close_dest_window(flow); });
     return;
   }
 
@@ -298,10 +297,9 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
     // ones that forward only once.
     auto& s = sources_[flow];
     s.last_check_seen = now();
-    if (s.checks.add(msg.bid, Candidate{from, csi_hops, topo})) {
-      host().simulator().after(cfg_.source_wait,
-                               [this, flow] { close_source_window(flow); });
-    }
+    s.checks.add(host().simulator(), cfg_.source_wait, msg.bid,
+                 Candidate{from, csi_hops, topo},
+                 [this, flow] { close_source_window(flow); });
     return;
   }
 

@@ -141,11 +141,9 @@ void AbrProtocol::on_bq(const net::AbrBqMsg& msg, net::NodeId from) {
     // The destination compares every arriving copy (one per last hop);
     // duplicate suppression only applies to relay forwarding.
     const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
-    if (dests_[flow].add(msg.bid,
-                         Candidate{from, tick_sum, load_sum, topo})) {
-      host().simulator().after(cfg_.dest_wait,
-                               [this, flow] { close_dest_window(flow); });
-    }
+    dests_[flow].add(host().simulator(), cfg_.dest_wait, msg.bid,
+                     Candidate{from, tick_sum, load_sum, topo},
+                     [this, flow] { close_dest_window(flow); });
     return;
   }
   if (!history_.record(msg.src, msg.bid, kTagBq, from)) return;

@@ -100,10 +100,9 @@ void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
     // Every arriving copy is a route candidate (duplicate suppression only
     // governs relay forwarding), mirroring RICA's discovery.
     const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
-    if (dests_[flow].add(msg.bid, Candidate{from, csi_hops, topo})) {
-      host().simulator().after(cfg_.dest_wait,
-                               [this, flow] { close_dest_window(flow); });
-    }
+    dests_[flow].add(host().simulator(), cfg_.dest_wait, msg.bid,
+                     Candidate{from, csi_hops, topo},
+                     [this, flow] { close_dest_window(flow); });
     return;
   }
   history_.record(msg.src, msg.bid, kTagRreq, from);

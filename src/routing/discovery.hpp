@@ -144,22 +144,25 @@ inline sim::Time csi_flood_jitter(channel::CsiClass cls, sim::Time per_hop,
 /// Collects every copy of one flood for a fixed wait, then picks the best:
 /// the destination's RREQ/BQ window (§II-B "receives several RREQ's ... and
 /// chooses a route with the minimal distance value") and RICA's source
-/// CSI-check window (§II-C).  The owner schedules close() `wait` after the
-/// add() that opened the window.
+/// CSI-check window (§II-C).  The window arms its own close: the add() that
+/// opens a window schedules `on_close` `wait` later, and the owner's
+/// callback calls close().
 template <typename Candidate>
 class CandidateWindow {
  public:
   /// Adds a copy of flood `bid`.  A copy of a new flood discards the old
-  /// copies and opens a fresh window; returns true when it opened one.
-  bool add(std::uint32_t bid, const Candidate& c) {
-    const bool opened = !open_ || bid_ != bid;
-    if (opened) {
+  /// copies and opens a fresh window whose close replaces any close still
+  /// pending, so a reopened window always lasts its full wait.
+  template <typename OnClose>
+  void add(sim::Simulator& sim, sim::Time wait, std::uint32_t bid,
+           const Candidate& c, OnClose on_close) {
+    if (!open_ || bid_ != bid) {
       open_ = true;
       bid_ = bid;
       copies_.clear();
+      close_timer_.arm_after(sim, wait, std::move(on_close));
     }
     copies_.push_back(c);
-    return opened;
   }
 
   /// Closes an open window and returns its best copy under `less`, or
@@ -183,6 +186,7 @@ class CandidateWindow {
  private:
   bool open_ = false;
   std::uint32_t bid_ = 0;
+  sim::Timer close_timer_;
   std::vector<Candidate> copies_;
 };
 

@@ -1,7 +1,8 @@
 // The shared source-side discovery lifecycle (routing/discovery.hpp), run
 // through each on-demand protocol against the scripted host: bounded
 // retries, the overflow policy with exact packet accounting, FIFO release to
-// the replier, and one flood per discovery.
+// the replier, and one flood per discovery.  Also the candidate windows'
+// close: a reopened window lasts its full wait.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -148,6 +149,65 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Subject>& info) {
       return std::string(info.param.name);
     });
+
+// A copy of a newer flood reopens a window that is still open.  The older
+// window's close must not end the new one early: the reopened window
+// answers once, a full wait after it reopened.
+template <typename Proto, typename Reply>
+void reopened_window_lasts_its_full_wait(
+    net::NodeId self, net::ControlPayload (*copy)(std::uint32_t bid)) {
+  constexpr sim::Time kReopen = sim::milliseconds(30);
+  constexpr sim::Time kWait = sim::milliseconds(40);  // every window's wait
+  MockHost host(self);
+  host.set_link(kRelay, channel::CsiClass::A);
+  Proto proto(host);
+  proto.on_control(net::make_control(net::kBroadcastId, copy(1)), kRelay);
+  host.sim().run_until(kReopen);
+  proto.on_control(net::make_control(net::kBroadcastId, copy(2)), kRelay);
+  host.sim().run_until(kReopen + kWait - sim::milliseconds(1));
+  EXPECT_EQ(host.sent_count<Reply>(), 0u)
+      << "the first flood's close ended the reopened window";
+  host.sim().run_until(kReopen + kWait);
+  EXPECT_EQ(host.sent_count<Reply>(), 1u);
+}
+
+TEST(CandidateWindow, ReopenedRicaRreqWindowLastsItsFullWait) {
+  reopened_window_lasts_its_full_wait<core::RicaProtocol, net::RrepMsg>(
+      kDst, [](std::uint32_t bid) {
+        return net::ControlPayload{net::RreqMsg{kSrc, kDst, bid, 0.0, 0}};
+      });
+}
+
+TEST(CandidateWindow, ReopenedRicaCheckWindowLastsItsFullWait) {
+  // The source's window picks a first hop and announces it with a RUPD.
+  reopened_window_lasts_its_full_wait<core::RicaProtocol, net::RupdMsg>(
+      kSrc, [](std::uint32_t bid) {
+        net::CsiCheckMsg check;
+        check.src = kSrc;
+        check.dst = kDst;
+        check.bid = bid;
+        check.ttl = 4;
+        return net::ControlPayload{check};
+      });
+}
+
+TEST(CandidateWindow, ReopenedBgcaRreqWindowLastsItsFullWait) {
+  reopened_window_lasts_its_full_wait<BgcaProtocol, net::RrepMsg>(
+      kDst, [](std::uint32_t bid) {
+        return net::ControlPayload{net::RreqMsg{kSrc, kDst, bid, 0.0, 0}};
+      });
+}
+
+TEST(CandidateWindow, ReopenedAbrBqWindowLastsItsFullWait) {
+  reopened_window_lasts_its_full_wait<AbrProtocol, net::AbrReplyMsg>(
+      kDst, [](std::uint32_t bid) {
+        net::AbrBqMsg bq;
+        bq.src = kSrc;
+        bq.dst = kDst;
+        bq.bid = bid;
+        return net::ControlPayload{bq};
+      });
+}
 
 }  // namespace
 }  // namespace rica::routing
